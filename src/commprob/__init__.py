@@ -66,15 +66,16 @@ from .groupspec import (
 from .symbolic import (
     PsiMatrix,
     PsiPoly,
-    TropicalMatrix,
     cp_bounds,
     degree_window,
+    degree_windows,
     diagonal_degree_interval,
     export_grid,
     first_column_degree,
     fixture,
     import_grid,
     max_entry_degree,
+    maxplus_walk,
     psi_matrix_from_exponents,
     verify_symbolic_structure,
 )

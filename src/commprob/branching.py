@@ -181,11 +181,9 @@ def branching_matrix(group: FiniteGroup) -> tuple[BranchingMatrix, TypeRegistry]
             data[(pos, pos)] = h.order
             pos += 1
             continue
-        classes = conjugacy_classes(group, within=h)
         for zc in z_classes(group, h):
-            rep_element = classes.classes[zc.class_ids[0]].representative
             tid, _ = registry.lookup_or_register(
-                zc.centralizer, entry.representative + (rep_element,)
+                zc.centralizer, entry.representative + (zc.representative,)
             )
             data[(tid, pos)] = data.get((tid, pos), 0) + len(zc.class_ids)
         pos += 1

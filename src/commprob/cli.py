@@ -22,19 +22,12 @@ from .counting import (
     asymptotic_ratio,
     class_count_sequence,
     family_asymptote,
-    max_abelian,
     oracle_class_count,
 )
 from .conjugacy import centralizer, conjugacy_classes, z_classes
 from .errors import ToolkitError
 from .groupspec import CORPUS_NAMES, build_group, corpus_spec, load_group_spec
-from .symbolic import (
-    fixture,
-    fixture_names,
-    max_entry_degree,
-    tropical_first_column_degrees,
-    verify_symbolic_structure,
-)
+from .symbolic import degree_windows, fixture, fixture_names, verify_symbolic_structure
 
 
 def _frac(x) -> str:
@@ -171,16 +164,14 @@ def cmd_cpd(args) -> int:
 def cmd_ratio(args) -> int:
     group = _resolve_group(args.group)
     report = asymptotic_ratio(group, args.dmax)
-    a, _ = max_abelian(group)
-    counts = class_count_sequence(group, args.dmax)
     lines = ["d,class_count,ratio,delta"]
     prev = None
     for d, ratio in enumerate(report.ratios, start=1):
         delta = "" if prev is None else _frac(abs(ratio - prev))
-        lines.append(f"{d},{counts[d]},{_frac(ratio)},{delta}")
+        lines.append(f"{d},{report.counts[d]},{_frac(ratio)},{delta}")
         prev = ratio
     lines.append("")
-    lines.append(f"max_abelian,{a}")
+    lines.append(f"max_abelian,{report.max_abelian_order}")
     lines.append(f"estimate,{_frac(report.estimate)}")
     lines.append(f"last_delta,{_frac(report.last_delta)}")
     _emit(lines, args.output)
@@ -190,33 +181,23 @@ def cmd_ratio(args) -> int:
 def cmd_symbolic(args) -> int:
     matrix = fixture(args.fixture)
     report = verify_symbolic_structure(matrix)
-    alpha = max_entry_degree(matrix)
-    beta, n = matrix.size, matrix.group_dim
     lines = [
         f"fixture,{matrix.name}",
-        f"beta,{beta}",
-        f"group_dim,{n}",
+        f"beta,{matrix.size}",
+        f"group_dim,{matrix.group_dim}",
         f"rank,{matrix.rank}",
-        f"alpha,{alpha}",
+        f"alpha,{matrix.alpha}",
         f"structure,{'pass' if report.ok else 'fail'}",
         "",
         "d,degree,cp_lower,cp_upper,window_lower,window_upper",
     ]
-    degrees = tropical_first_column_degrees(matrix, args.d)
-    bad_window = False
-    for d in range(1, args.d + 1):
-        degree = int(degrees[d - 1])
-        lower = Fraction(degree, d * n)
-        upper = lower + Fraction(1, d)
-        window_low = Fraction((d - beta) * alpha, d * n)
-        window_high = Fraction(alpha, n) + Fraction(1, d)
+    for d, w in enumerate(degree_windows(matrix, args.d), start=1):
         lines.append(
-            f"{d},{degree},{_frac(lower)},{_frac(upper)},"
-            f"{_frac(window_low)},{_frac(window_high)}"
+            f"{d},{w.degree},{_frac(w.cp_lower)},{_frac(w.cp_upper)},"
+            f"{_frac(w.window_low)},{_frac(w.window_high)}"
         )
-        bad_window = bad_window or not (d - beta) * alpha <= degree <= d * alpha
     _emit(lines, args.output)
-    if not report.ok or bad_window:
+    if not report.ok:
         print("symbolic checks failed", file=sys.stderr)
         return 1
     return 0

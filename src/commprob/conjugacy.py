@@ -28,12 +28,6 @@ class ConjugacyClass:
 class ClassPartition:
     classes: tuple[ConjugacyClass, ...]
 
-    def class_of(self, i: int) -> int:
-        for cid, cls in enumerate(self.classes):
-            if i in cls.members:
-                return cid
-        raise KeyError(i)
-
     @property
     def count(self) -> int:
         return len(self.classes)
@@ -41,10 +35,12 @@ class ClassPartition:
 
 @dataclass(frozen=True)
 class ZClass:
-    """Conjugacy classes sharing a conjugate centralizer."""
+    """Conjugacy classes sharing a conjugate centralizer; `representative`
+    is the representative of the first of them, whose centralizer is kept."""
 
     class_ids: tuple[int, ...]
     centralizer: Subgroup
+    representative: int
 
 
 def commuting_tuple(group: FiniteGroup, indices) -> tuple[int, ...]:
@@ -138,4 +134,7 @@ def z_classes(group: FiniteGroup, subgroup: Subgroup | None = None) -> list[ZCla
             grouped.append([cid])
             cents.append(cent)
     # class 0 is the identity's class, so grouped[0] is the central z-class
-    return [ZClass(tuple(ids), cent) for ids, cent in zip(grouped, cents)]
+    return [
+        ZClass(tuple(ids), cent, partition.classes[ids[0]].representative)
+        for ids, cent in zip(grouped, cents)
+    ]

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .branching import branching_matrix
 from .errors import CapExceededError, InexactDivisionError, InvalidFamilyError
+from .fields import is_prime_power
 from .groups import FiniteGroup, Subgroup
 
 
@@ -112,11 +113,14 @@ def max_abelian(group: FiniteGroup) -> tuple[int, Subgroup]:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Exact c(d)/a^d sequence with a convergence snapshot."""
+    """Exact c(d)/a^d sequence with a convergence snapshot, the abelian
+    order a and the counts c(0), ..., c(dmax) it was computed from."""
 
     ratios: tuple[Fraction, ...]
     estimate: Fraction
     last_delta: Fraction
+    max_abelian_order: int
+    counts: tuple[int, ...]
 
 
 def asymptotic_ratio(group: FiniteGroup, dmax: int) -> RatioReport:
@@ -131,7 +135,7 @@ def asymptotic_ratio(group: FiniteGroup, dmax: int) -> RatioReport:
     a, _ = max_abelian(group)
     counts = class_count_sequence(group, dmax)
     ratios = tuple(Fraction(counts[d], a**d) for d in range(1, dmax + 1))
-    return RatioReport(ratios, ratios[-1], abs(ratios[-1] - ratios[-2]))
+    return RatioReport(ratios, ratios[-1], abs(ratios[-1] - ratios[-2]), a, tuple(counts))
 
 
 _FAMILIES = ("GL", "U", "Sp", "O")
@@ -158,15 +162,6 @@ def _prod(values) -> int:
     for v in values:
         out *= v
     return out
-
-
-def is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    while q % p == 0:
-        q //= p
-    return q == 1
 
 
 def family_order(family: str, size: int, q: int) -> int:

@@ -11,19 +11,29 @@ from __future__ import annotations
 from .errors import NonPrimeError, ReducibleModulusError
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def _smallest_factor(n: int) -> int:
+    """Least prime factor of n >= 2, by trial division up to sqrt(n)."""
     if n % 2 == 0:
-        return False
+        return 2
     d = 3
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_factor(n) == n
+
+
+def is_prime_power(q: int) -> bool:
+    if q < 2:
+        return False
+    p = _smallest_factor(q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def _poly_trim(coeffs: list[int]) -> list[int]:

@@ -3,9 +3,19 @@
 For reductive algebraic groups the branching-matrix entries are monomials
 psi^k recording dimension differences, so entries of powers are polynomials
 with non-negative integer coefficients.  Because nothing can cancel, the
-degree of any entry of B^d equals the corresponding entry of the d-th
-max-plus power of the exponent matrix; that makes degrees at d = 10**6 as
-cheap as at d = 3, while exact polynomial powers validate small d.
+degree of an entry of B^d is the weight of the heaviest length-d walk in
+the exponent grid.  One integer max-plus kernel, `maxplus_walk`, computes
+every such degree here, so degrees at d = 10**6 are as cheap as at d = 3.
+It follows the `exponent_grid` convention: -1 marks a zero entry of the
+grid and an entry not reached by the walk.
+
+Each exactness claim keeps an independent check by PsiPoly arithmetic
+(`psi_walk`, `psi_power`).  In the library, `first_column_degree` and
+`degree_windows` compare every degree they report for d <= 24 with the
+exact polynomial walk and raise on a disagreement.  The tier-1 tests
+compare `diagonal_degree_interval` with the exact symbolised power on every
+case of their random suites, and the kernel walked from every start column
+with exact powers.
 
 All values here are immutable and operations pure.
 """
@@ -246,75 +256,44 @@ def fixture_names() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# max-plus (tropical) degree calculus
+# max-plus (tropical) degree calculus and its exact cross-check
+
+EXACT_CHECK_DMAX = 24
 
 
-@dataclass(frozen=True)
-class TropicalMatrix:
-    """Integer degrees with NEG_INF as the additive identity of (max, +)."""
+def maxplus_walk(grid, start: int, steps: int):
+    """Yield v_1, ..., v_steps, where v_t[i] is the heaviest length-t walk
+    from `start` to i and an edge into i from k weighs grid[i][k].
 
-    entries: tuple[tuple[float, ...], ...]
-
-    @classmethod
-    def from_psi(cls, matrix: PsiMatrix) -> "TropicalMatrix":
-        return cls(tuple(tuple(e.degree for e in row) for row in matrix.entries))
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def matmul(self, other: "TropicalMatrix") -> "TropicalMatrix":
-        n = self.size
-        cols = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out.append(
-                tuple(
-                    max(
-                        (x + y for x, y in zip(row, col) if x != NEG_INF and y != NEG_INF),
-                        default=NEG_INF,
-                    )
-                    for col in cols
-                )
-            )
-        return TropicalMatrix(tuple(out))
-
-    def power(self, d: int) -> "TropicalMatrix":
-        if d < 1:
-            raise ValueError("tropical power needs d >= 1")
-        result = None
-        base = self
-        e = d
-        while e:
-            if e & 1:
-                result = base if result is None else result.matmul(base)
-            e >>= 1
-            if e:
-                base = base.matmul(base)
-        return result
-
-    def apply_first_column(self, vector):
-        """One (max, +) step of entries applied to a column vector."""
-        out = []
-        for row in self.entries:
-            out.append(
-                max(
-                    (x + v for x, v in zip(row, vector) if x != NEG_INF and v != NEG_INF),
-                    default=NEG_INF,
-                )
-            )
-        return out
+    -1 in `grid` means no edge and -1 in v_t means not reached, so on an
+    exponent grid v_t[i] = deg (B^t)[i][start].  Only the current vector is
+    held, however many steps are taken.
+    """
+    edges = [[(k, w) for k, w in enumerate(row) if w >= 0] for row in grid]
+    v = [-1] * len(grid)
+    v[start] = 0
+    for _ in range(steps):
+        v = [max([v[k] + w for k, w in row if v[k] >= 0], default=-1) for row in edges]
+        yield v
 
 
-def tropical_first_column_degrees(matrix: PsiMatrix, dmax: int) -> list[float]:
-    """[deg(1 . B^d . e1) for d = 1..dmax] by iterated max-plus steps."""
-    trop = TropicalMatrix.from_psi(matrix)
-    v = [0.0 if i == 0 else NEG_INF for i in range(matrix.size)]
-    degrees = []
-    for _ in range(dmax):
-        v = trop.apply_first_column(v)
-        degrees.append(max(v))
-    return degrees
+def psi_walk(entries, start: int, steps: int):
+    """Exact counterpart of maxplus_walk on PsiPoly entries: yields the
+    columns B^t e_start for t = 1..steps."""
+    m = len(entries)
+    v = [PsiPoly.zero()] * m
+    v[start] = PsiPoly.monomial(0)
+    for _ in range(steps):
+        v = [
+            sum((row[k] * v[k] for k in range(m) if v[k] and row[k]), PsiPoly.zero())
+            for row in entries
+        ]
+        yield v
+
+
+def tropical_first_column_degrees(matrix: PsiMatrix, dmax: int) -> list[int]:
+    """[deg(1 . B^d . e1) for d = 1..dmax], -1 where the column vanished."""
+    return [max(v) for v in maxplus_walk(matrix.exponent_grid(), 0, dmax)]
 
 
 def _psi_matmul(a, b):
@@ -343,41 +322,41 @@ def psi_power(matrix: PsiMatrix, d: int):
     return result
 
 
-def _exact_first_column_degree(matrix: PsiMatrix, d: int):
-    v = [PsiPoly.monomial(0) if i == 0 else PsiPoly.zero() for i in range(matrix.size)]
-    for _ in range(d):
-        v = [
-            sum(
-                (matrix.entries[i][k] * v[k] for k in range(matrix.size) if v[k]),
-                PsiPoly.zero(),
+def _exact_first_column_degree(matrix: PsiMatrix, dmax: int) -> list[int]:
+    """The exact twin of tropical_first_column_degrees, by PsiPoly powers."""
+    degrees = []
+    for v in psi_walk(matrix.entries, 0, dmax):
+        total = sum(v, PsiPoly.zero())
+        degrees.append(int(total.degree) if total else -1)
+    return degrees
+
+
+def _cross_check(matrix: PsiMatrix, degrees: list[int]) -> None:
+    """Raise unless the tropical degrees for d <= EXACT_CHECK_DMAX equal the
+    exact ones; the two must coincide because no coefficient can cancel."""
+    head = degrees[:EXACT_CHECK_DMAX]
+    exact = _exact_first_column_degree(matrix, len(head))
+    for d, (degree, expected) in enumerate(zip(head, exact), start=1):
+        if degree != expected:
+            raise WindowViolatedError(
+                f"tropical degree {degree} disagrees with exact degree {expected} at d={d}"
             )
-            for i in range(matrix.size)
-        ]
-    total = sum(v, PsiPoly.zero())
-    return total.degree
 
 
-def first_column_degree(matrix: PsiMatrix, d: int, cross_check: bool | None = None) -> int:
+def first_column_degree(matrix: PsiMatrix, d: int) -> int:
     """deg(1 . B^d . e1), the degree tracked by the dimension bounds.
 
-    Computed tropically; for small d (or on request) the exact polynomial
-    power is computed too and any disagreement raises, since the two must
-    coincide when no coefficients can cancel.
+    Computed tropically; for d <= EXACT_CHECK_DMAX every degree up to d is
+    also computed exactly and any disagreement raises.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    degree = tropical_first_column_degrees(matrix, d)[-1]
-    if cross_check is None:
-        cross_check = d <= 24
-    if cross_check:
-        exact = _exact_first_column_degree(matrix, d)
-        if exact != degree:
-            raise WindowViolatedError(
-                f"tropical degree {degree} disagrees with exact degree {exact} at d={d}"
-            )
-    if degree == NEG_INF:
+    degrees = tropical_first_column_degrees(matrix, d)
+    if d <= EXACT_CHECK_DMAX:
+        _cross_check(matrix, degrees)
+    if degrees[-1] < 0:
         raise WindowViolatedError(f"first column of {matrix.name} vanished at d={d}")
-    return int(degree)
+    return degrees[-1]
 
 
 def max_entry_degree(matrix: PsiMatrix) -> int:
@@ -387,13 +366,6 @@ def max_entry_degree(matrix: PsiMatrix) -> int:
     return int(best)
 
 
-def cp_bounds(matrix: PsiMatrix, d: int) -> tuple[Fraction, Fraction]:
-    """Exact sandwich deg/(d*n) <= cp_d <= deg/(d*n) + 1/d."""
-    degree = first_column_degree(matrix, d)
-    lower = Fraction(degree, d * matrix.group_dim)
-    return lower, lower + Fraction(1, d)
-
-
 @dataclass(frozen=True)
 class DegreeWindow:
     degree: int
@@ -401,31 +373,56 @@ class DegreeWindow:
     degree_high: int
     window_low: Fraction
     window_high: Fraction
+    cp_lower: Fraction
+    cp_upper: Fraction
 
 
-def degree_window(matrix: PsiMatrix, d: int) -> DegreeWindow:
-    """Check (d - beta)*alpha <= deg(1.B^d.e1) <= d*alpha and return the
-    commuting-probability window ((1 - beta/d)*alpha/n, alpha/n + 1/d).
-
-    A violation would mean a corrupted matrix or an arithmetic bug, so it
-    raises rather than reporting.
-    """
-    alpha = max_entry_degree(matrix)
-    beta = matrix.size
-    degree = first_column_degree(matrix, d)
-    low, high = (d - beta) * alpha, d * alpha
+def _window(matrix: PsiMatrix, alpha: int, d: int, degree: int) -> DegreeWindow:
+    if degree < 0:
+        raise WindowViolatedError(f"first column of {matrix.name} vanished at d={d}")
+    low, high = (d - matrix.size) * alpha, d * alpha
     if not low <= degree <= high:
         raise WindowViolatedError(
             f"degree {degree} outside [{low}, {high}] for {matrix.name} at d={d}"
         )
     n = matrix.group_dim
+    cp_lower = Fraction(degree, d * n)
     return DegreeWindow(
         degree,
         low,
         high,
-        Fraction((d - beta) * alpha, d * n),
+        Fraction(low, d * n),
         Fraction(alpha, n) + Fraction(1, d),
+        cp_lower,
+        cp_lower + Fraction(1, d),
     )
+
+
+def degree_window(matrix: PsiMatrix, d: int) -> DegreeWindow:
+    """Check (d - beta)*alpha <= deg(1.B^d.e1) <= d*alpha and return the
+    commuting-probability window ((1 - beta/d)*alpha/n, alpha/n + 1/d) with
+    the sandwich deg/(d*n) <= cp_d <= deg/(d*n) + 1/d.
+
+    A violation would mean a corrupted matrix or an arithmetic bug, so it
+    raises rather than reporting.
+    """
+    return _window(matrix, max_entry_degree(matrix), d, first_column_degree(matrix, d))
+
+
+def degree_windows(matrix: PsiMatrix, dmax: int):
+    """Yield degree_window(matrix, d) for d = 1..dmax from one walk, with
+    every d <= EXACT_CHECK_DMAX cross-checked in one exact pass."""
+    degrees = tropical_first_column_degrees(matrix, dmax)
+    _cross_check(matrix, degrees)
+    alpha = max_entry_degree(matrix)
+    for d, degree in enumerate(degrees, start=1):
+        yield _window(matrix, alpha, d, degree)
+
+
+def cp_bounds(matrix: PsiMatrix, d: int) -> tuple[Fraction, Fraction]:
+    """Exact sandwich deg/(d*n) <= cp_d <= deg/(d*n) + 1/d."""
+    window = degree_window(matrix, d)
+    return window.cp_lower, window.cp_upper
 
 
 @dataclass(frozen=True)
@@ -440,10 +437,12 @@ def diagonal_degree_interval(entries, l: int, r: int) -> DegreeInterval:
 
     The input is a plain non-negative integer matrix whose diagonal is
     nonzero and in which every row past the first has a nonzero entry
-    before the diagonal.  Entry (l, l) is replaced by an indeterminate and
-    the resulting polynomial degree must land in [r - m, r].  The entry can
-    only be the zero polynomial while r is at most the matrix size (no
-    descent path that short exists yet); that case reports degree None.
+    before the diagonal.  Entry (l, l) is replaced by an indeterminate, so
+    the degree is the largest number of (l, l) loops on a length-r walk
+    from 0 to l: a max-plus walk weighing that loop 1 and every other
+    nonzero entry 0.  It must land in [r - m, r].  The entry can only be
+    the zero polynomial while r is at most the matrix size (no descent path
+    that short exists yet); that case reports degree None.
     """
     m = len(entries)
     if r < 2:
@@ -459,30 +458,19 @@ def diagonal_degree_interval(entries, l: int, r: int) -> DegreeInterval:
             raise PreconditionError(f"diagonal entry ({i},{i}) is zero")
         if i > 0 and not any(row[j] for j in range(i)):
             raise PreconditionError(f"row {i} has no entry before the diagonal")
-    sym = []
-    for i, row in enumerate(entries):
-        sym.append(
-            [
-                PsiPoly.monomial(1)
-                if (i, j) == (l, l)
-                else (PsiPoly.monomial(0, x) if x else PsiPoly.zero())
-                for j, x in enumerate(row)
-            ]
-        )
-    v = [PsiPoly.monomial(0) if i == 0 else PsiPoly.zero() for i in range(m)]
-    for _ in range(r):
-        v = [
-            sum((sym[i][k] * v[k] for k in range(m) if v[k]), PsiPoly.zero())
-            for i in range(m)
-        ]
-    poly = v[l]
-    if poly.is_zero():
+    weights = [
+        [int((i, j) == (l, l)) if x else -1 for j, x in enumerate(row)]
+        for i, row in enumerate(entries)
+    ]
+    for v in maxplus_walk(weights, 0, r):
+        pass
+    degree = v[l]
+    if degree < 0:
         if r > m:
             raise WindowViolatedError(
                 f"(B^{r})[{l}][0] vanished although r exceeds the size {m}"
             )
         return DegreeInterval(None, r - m, r)
-    degree = int(poly.degree)
     if not r - m <= degree <= r:
         raise WindowViolatedError(
             f"degree {degree} of (B^{r})[{l}][0] outside [{r - m}, {r}]"

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from commprob.branching import branching_matrix
 from commprob.cli import load_branching_json, run
@@ -156,10 +159,16 @@ def test_determinism_across_processes_and_hash_seeds():
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import commprob
+
+    # the child imports the same commprob as this process, installed or not
+    src = str(Path(commprob.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for seed in ("1", "4242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         result = subprocess.run(
             [sys.executable, "-m", "commprob.cli", "branching", "s4", "--format", "json"],
             capture_output=True,
@@ -168,3 +177,32 @@ def test_determinism_across_processes_and_hash_seeds():
         )
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("symbolic", "--fixture", "gl2", "--d", "300"),
+            "87039eaf44c9f46a476c0518d57ab49328943b3330b5dfbbce66a7276a646451",
+        ),
+        (
+            ("symbolic", "--fixture", "gl3", "--d", "300"),
+            "d3a094ab3baf41115497c6010710eb391eda192bfb2bf912f8697039d546a25d",
+        ),
+        (
+            ("symbolic", "--fixture", "gl4", "--d", "300"),
+            "77da4f72ea764518b7be0fa7078e5e2f6027a5fd8a611b10ccb16a415433715f",
+        ),
+        (
+            ("ratio", "q8", "--dmax", "20"),
+            "65eb5dcb8f0b20dd7c8dbfc015177e15d470157ac4292327bc732bf42b4630fb",
+        ),
+    ],
+)
+def test_stdout_golden_digest(capsys, argv, digest):
+    # stdout digests pinned before `symbolic` and `ratio` moved onto library
+    # results; the bytes must not change
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

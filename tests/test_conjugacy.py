@@ -185,6 +185,9 @@ def test_z_class_membership_has_witness(corpus):
         group = corpus[name]
         part = conjugacy_classes(group)
         for z in z_classes(group):
+            # the anchor is the centralizer of the recorded representative
+            assert z.representative == part.classes[z.class_ids[0]].representative
+            assert centralizer(group, (z.representative,)) == z.centralizer
             for cid in z.class_ids:
                 cent = centralizer(group, (part.classes[cid].representative,))
                 witness = subgroup_conjugate(group, cent, z.centralizer)

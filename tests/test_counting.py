@@ -126,6 +126,8 @@ def test_ratio_q8_exact(corpus):
     for d, ratio in enumerate(report.ratios, start=1):
         assert ratio == Fraction(3, 2) - Fraction(1, 2 ** (d + 1))
     assert report.last_delta == Fraction(1, 2**21)
+    assert report.max_abelian_order == 4
+    assert list(report.counts) == class_count_sequence(corpus["q8"], 20)
 
 
 def test_ratio_abelian_is_constant():

@@ -1,7 +1,7 @@
 import pytest
 
 from commprob.errors import NonPrimeError, ReducibleModulusError
-from commprob.fields import Field, field_create, is_prime
+from commprob.fields import Field, field_create, is_prime, is_prime_power
 
 
 def test_prime_fields():
@@ -85,3 +85,20 @@ def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(25):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_and_prime_power_against_brute_force():
+    limit = 5000
+    primes = {p for p in range(2, limit) if all(p % d for d in range(2, p))}
+    powers = set()
+    for p in primes:
+        q = p
+        while q < limit:
+            powers.add(q)
+            q *= p
+    for n in range(-2, limit):
+        assert is_prime(n) == (n in primes), n
+        assert is_prime_power(n) == (n in powers), n
+    assert is_prime(100000007) and is_prime_power(100000007)
+    assert is_prime_power(3**17) and not is_prime(3**17)
+    assert not is_prime_power(2 * 100000007)

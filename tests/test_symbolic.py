@@ -8,20 +8,23 @@ from commprob.errors import (
     UnknownFixtureError,
     WindowViolatedError,
 )
+from commprob import symbolic
 from commprob.symbolic import (
     NEG_INF,
     PsiPoly,
-    TropicalMatrix,
     cp_bounds,
     degree_window,
+    degree_windows,
     diagonal_degree_interval,
     export_grid,
     first_column_degree,
     fixture,
     import_grid,
     max_entry_degree,
+    maxplus_walk,
     psi_matrix_from_exponents,
     psi_power,
+    psi_walk,
     tropical_first_column_degrees,
     verify_symbolic_structure,
 )
@@ -185,47 +188,42 @@ def test_gl2_degree_is_2d():
     assert degrees == [2 * d for d in range(1, 51)]
 
 
+def exact_degrees(column):
+    return [int(p.degree) if p else -1 for p in column]
+
+
 def test_tropical_polynomial_agreement_entrywise():
     for name in ("gl2", "gl3", "gl4"):
         matrix = fixture(name)
-        trop = TropicalMatrix.from_psi(matrix)
-        poly_power = matrix.entries
-        trop_power = trop
-        for d in range(2, 21):
-            poly_power = _psi_matmul_against(poly_power, matrix.entries)
-            trop_power = trop_power.matmul(trop)
-            for i in range(matrix.size):
-                for j in range(matrix.size):
-                    assert poly_power[i][j].degree == trop_power.entries[i][j], (
-                        name,
-                        d,
-                        i,
-                        j,
-                    )
+        grid = matrix.exponent_grid()
+        for j in range(matrix.size):
+            walks = zip(maxplus_walk(grid, j, 20), psi_walk(matrix.entries, j, 20))
+            for d, (trop, exact) in enumerate(walks, start=1):
+                assert trop == exact_degrees(exact), (name, j, d)
+                if d == 4:
+                    power = psi_power(matrix, 4)
+                    assert exact == [power[i][j] for i in range(matrix.size)], (name, j)
 
 
-def _psi_matmul_against(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = PsiPoly.zero()
-            for k in range(n):
-                if a[i][k] and b[k][j]:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def test_cross_check_built_into_first_column_degree():
+def test_cross_check_built_into_first_column_degree(monkeypatch):
     for name in ("gl2", "gl3", "gl4"):
         matrix = fixture(name)
         for d in (1, 3, 7, 12):
-            assert first_column_degree(matrix, d, cross_check=True) == int(
-                tropical_first_column_degrees(matrix, d)[-1]
-            )
+            assert first_column_degree(matrix, d) == tropical_first_column_degrees(matrix, d)[-1]
+    # a disagreement at any d <= 24, not only the last one, must raise
+    exact = symbolic._exact_first_column_degree
+
+    def off_at_two(matrix, dmax):
+        degrees = exact(matrix, dmax)
+        degrees[1] += 1
+        return degrees
+
+    monkeypatch.setattr(symbolic, "_exact_first_column_degree", off_at_two)
+    with pytest.raises(WindowViolatedError, match="d=2"):
+        first_column_degree(fixture("gl3"), 12)
+    with pytest.raises(WindowViolatedError, match="d=2"):
+        list(degree_windows(fixture("gl3"), 100))
+    assert first_column_degree(fixture("gl3"), 30) == 90  # beyond the checked range
 
 
 def test_cp_bounds_examples():
@@ -248,8 +246,16 @@ def test_degree_window_examples():
     w = degree_window(fixture("gl2"), 100)
     assert (w.degree_low, w.degree, w.degree_high) == (194, 200, 200)
     assert (w.window_low, w.window_high) == (Fraction(97, 200), Fraction(51, 100))
+    assert (w.cp_lower, w.cp_upper) == cp_bounds(fixture("gl2"), 100)
     degree_window(fixture("gl3"), 100)
     degree_window(fixture("gl4"), 100)
+
+
+def test_degree_windows_match_degree_window():
+    for name in ("gl2", "gl3", "gl4"):
+        matrix = fixture(name)
+        windows = list(degree_windows(matrix, 40))
+        assert windows == [degree_window(matrix, d) for d in range(1, 41)], name
 
 
 def test_degree_window_sweep_to_1000():
@@ -331,14 +337,30 @@ def random_condition_matrix(rng, m, max_entry=3):
     return entries
 
 
+def exact_diagonal_degrees(entries, l, rmax):
+    """[deg (B^r)[l][0] in the symbolised b_ll for r = 1..rmax], by PsiPoly."""
+    sym = [
+        [
+            PsiPoly.monomial(1)
+            if (i, j) == (l, l)
+            else (PsiPoly.monomial(0, x) if x else PsiPoly.zero())
+            for j, x in enumerate(row)
+        ]
+        for i, row in enumerate(entries)
+    ]
+    return [int(v[l].degree) if v[l] else None for v in psi_walk(sym, 0, rmax)]
+
+
 @pytest.mark.parametrize("m,trials,seed", [(4, 200, 101), (6, 100, 202)])
 def test_diagonal_degree_interval_random_suite(m, trials, seed):
     rng = random.Random(seed)
     for _ in range(trials):
         entries = random_condition_matrix(rng, m)
         for l in range(m):
+            exact = exact_diagonal_degrees(entries, l, 10)
             for r in range(2, 11):
-                diagonal_degree_interval(entries, l, r)  # raises on any violation
+                result = diagonal_degree_interval(entries, l, r)  # raises on any violation
+                assert result.degree == exact[r - 1], (entries, l, r)
 
 
 def test_gl4_abelian_columns_power_like_scalars():
