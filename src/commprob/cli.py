@@ -218,6 +218,21 @@ def cmd_family(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commprob",
@@ -240,18 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cpd", help="commuting-tuple counts and probabilities")
     add_group_arg(p)
-    p.add_argument("--d", type=int, required=True, help="largest tuple length")
+    p.add_argument("--d", type=_int_at_least(1), required=True, help="largest tuple length")
     p.add_argument("--oracle", action="store_true", help="cross-check by orbit counting")
     p.set_defaults(func=cmd_cpd)
 
     p = sub.add_parser("ratio", help="c(d)/a^d convergence table")
     add_group_arg(p)
-    p.add_argument("--dmax", type=int, required=True)
+    p.add_argument("--dmax", type=_int_at_least(3), required=True)
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("symbolic", help="degree bounds for a bundled symbolic matrix")
     p.add_argument("--fixture", choices=fixture_names(), required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
     p.add_argument("--output", help="write data here instead of stdout")
     p.set_defaults(func=cmd_symbolic)
 
@@ -259,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("GL", "U", "Sp", "O"), required=True)
     p.add_argument("--size", type=int, required=True, help="n for GL/U, l for Sp/O")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--d", type=_int_at_least(1), default=None)
     p.add_argument("--output", help="write data here instead of stdout")
     p.set_defaults(func=cmd_family)
     return parser

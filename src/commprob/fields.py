@@ -11,6 +11,10 @@ from __future__ import annotations
 from .errors import NonPrimeError, ReducibleModulusError
 
 
+# Largest field order p^k the package is meant for; group specs enforce it.
+MAX_FIELD_ORDER = 2**20
+
+
 def _smallest_factor(n: int) -> int:
     """Least prime factor of n >= 2, by trial division up to sqrt(n)."""
     if n % 2 == 0:
@@ -161,7 +165,7 @@ def field_create(p: int, k: int, modulus=None) -> Field:
     For k = 1 the modulus is implicit and must be omitted or None.  For
     k >= 2 a monic coefficient list of length k + 1 (low-to-high) is
     required; it is checked irreducible by exhaustive trial division,
-    which is fast for the intended range p^k <= 2**20.
+    which is fast for the intended range p^k <= MAX_FIELD_ORDER (2**20).
     """
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")

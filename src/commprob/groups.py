@@ -6,6 +6,14 @@ multiplication, inversion and canonical byte encoding for one kind of
 element, so two elements are equal exactly when their carriers and data
 agree.  All containers here are immutable after construction; only cached
 derived data (multiplication table, element orders) is filled in lazily.
+
+Generator closure records, for each seed s (a generator or the inverse of
+one), its left action on the element indices: act_s[x] = index(s * e_x).
+The multiplication table of a group at or below the table limit is
+composed from those lists alone.  Row 0 is the identity permutation, and
+when e_i was first found as s * e_p, row i is act_s applied to row p, since
+index(e_i * e_j) = index(s * (e_p * e_j)) = act_s[row_p[j]].  The table
+therefore costs no carrier products and no field operations.
 """
 
 from __future__ import annotations
@@ -173,12 +181,22 @@ class FiniteGroup:
     Index 0 is always the identity.  Multiplication and inversion go
     through a precomputed table for small groups and through the carrier
     otherwise.  Instances are immutable apart from lazily cached tables.
+    Built by `group_generate`, which hands over its element index and the
+    seeds' recorded left actions (kept only while a table can be built).
     """
 
-    def __init__(self, carrier, elements: list[tuple[int, ...]], name: str = ""):
+    def __init__(
+        self,
+        carrier,
+        elements: list[tuple[int, ...]],
+        index: dict[tuple[int, ...], int],
+        actions: list[list[int]] | None,
+        name: str = "",
+    ):
         self.carrier = carrier
-        self.elements = list(elements)
-        self.index = {data: i for i, data in enumerate(self.elements)}
+        self.elements = elements
+        self.index = index
+        self._actions = actions if len(elements) <= _TABLE_LIMIT else None
         self.name = name
         self._mul_table = None
         self._inv_table = None
@@ -202,20 +220,33 @@ class FiniteGroup:
             raise ElementNotInGroupError(f"element index {i} outside group of order {self.order}")
 
     def _ensure_tables(self) -> None:
+        """Build the inverse table, and at or below the limit the full table.
+
+        The full table is composed from the recorded left actions by
+        replaying the closure's breadth-first search, so the BFS parents
+        need no storing: row 0 is the identity, and the first time act_s
+        maps row p to an index i without a row, row i is act_s applied to
+        row p.  Every row exists before the replay reaches it.  Above the
+        limit only the inverses are tabulated, through the carrier.
+        """
         if self._inv_table is not None:
             return
-        n = self.order
-        carrier, elements, index = self.carrier, self.elements, self.index
-        if n <= _TABLE_LIMIT:
-            self._mul_table = [
-                [index[carrier.mul(elements[i], elements[j])] for j in range(n)] for i in range(n)
-            ]
-            inv = [0] * n
-            for i, row in enumerate(self._mul_table):
-                inv[i] = row.index(0)
-            self._inv_table = inv
-        else:
-            self._inv_table = [index[carrier.inv(e)] for e in elements]
+        n, actions = self.order, self._actions
+        if actions is None:
+            index, inv = self.index, self.carrier.inv
+            self._inv_table = [index[inv(e)] for e in self.elements]
+            return
+        rows = [None] * n
+        rows[0] = list(range(n))
+        for p in range(n):
+            row = rows[p]
+            for act in actions:
+                i = act[p]
+                if rows[i] is None:
+                    rows[i] = [act[v] for v in row]
+        self._mul_table = rows
+        self._inv_table = [row.index(0) for row in rows]
+        self._actions = None
 
     def mul(self, i: int, j: int) -> int:
         self._ensure_tables()
@@ -346,9 +377,12 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
 
     The identity is discovered first; after that, elements appear in the
     order produced by left-multiplying queue elements by the generators and
-    their inverses, so the element indexing is deterministic for a fixed
-    generator list.  Raises CapExceededError as soon as the closure grows
-    past `cap`.
+    their inverses (the seeds), so the element indexing is deterministic for
+    a fixed generator list.  Every product s * e_x made here is kept: the
+    element dict becomes `FiniteGroup.index`, and act_s[x] = index(s * e_x)
+    is recorded for each seed s, from which `FiniteGroup` composes its
+    multiplication table.  Raises CapExceededError as soon as the closure
+    grows past `cap`.
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -369,19 +403,20 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
 
     identity = carrier.identity()
     elements = [identity]
-    seen = {identity}
-    pos = 0
-    while pos < len(elements):
-        x = elements[pos]
-        pos += 1
-        for s in seeds:
-            y = carrier.mul(s, x)
-            if y not in seen:
-                seen.add(y)
+    index = {identity: 0}
+    actions = [[] for _ in seeds]
+    mul = carrier.mul
+    for x in elements:  # also visits the elements appended below: breadth-first
+        for s, act in zip(seeds, actions):
+            y = mul(s, x)
+            i = index.get(y)
+            if i is None:
+                i = index[y] = len(elements)
                 elements.append(y)
-                if len(elements) > cap:
+                if i >= cap:
                     raise CapExceededError(f"closure exceeded cap of {cap} elements")
-    return FiniteGroup(carrier, elements, name=name)
+            act.append(i)
+    return FiniteGroup(carrier, elements, index, actions, name=name)
 
 
 def center(group: FiniteGroup) -> Subgroup:

@@ -12,7 +12,9 @@ A spec is a single JSON object:
     }
 
 Matrix entries are field-element indices (residues mod p for k = 1, base-p
-digit encodings otherwise); permutation generators are image arrays.
+digit encodings otherwise); permutation generators are image arrays.  Every
+integer field must be a JSON integer (true and false are rejected), and the
+field order p^k may not exceed 2^20.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import GroupSpecParseError, GroupSpecValidationError
-from .fields import field_create, is_prime
+from .fields import MAX_FIELD_ORDER, field_create, is_prime
 from .groups import FiniteGroup, group_generate, matrix_element, permutation_element
 
 
@@ -46,11 +48,16 @@ def _fail(path: str, message: str):
     raise GroupSpecValidationError(f"{path}: {message}")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; json.loads gives bool for true/false, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_group_spec(document: str) -> GroupSpec:
     """Parse and validate a spec document, naming the offending field on error."""
     try:
         obj = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise GroupSpecParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise GroupSpecParseError("top level must be a single object")
@@ -62,7 +69,7 @@ def parse_group_spec(document: str) -> GroupSpec:
     if kind not in ("matrix", "permutation"):
         _fail("kind", "must be 'matrix' or 'permutation'")
     degree = obj.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         _fail("degree", "required integer >= 1")
     gens = obj.get("generators")
     if not isinstance(gens, list) or not gens:
@@ -74,7 +81,7 @@ def parse_group_spec(document: str) -> GroupSpec:
         for gi, gen in enumerate(gens):
             if not isinstance(gen, list) or len(gen) != degree:
                 _fail(f"generators[{gi}]", f"image array of length {degree} required")
-            if sorted(gen) != list(range(degree)):
+            if not all(_is_int(x) for x in gen) or sorted(gen) != list(range(degree)):
                 _fail(f"generators[{gi}]", "not a permutation of 0..degree-1")
         return GroupSpec(name, kind, None, degree, tuple(tuple(g) for g in gens))
 
@@ -82,15 +89,19 @@ def parse_group_spec(document: str) -> GroupSpec:
     if not isinstance(fobj, dict):
         _fail("field", "required object for matrix specs")
     p, k = fobj.get("p"), fobj.get("k", 1)
-    if not isinstance(p, int) or p < 2:
+    if not _is_int(p) or p < 2:
         _fail("field.p", "required integer >= 2")
+    if not _is_int(k) or k < 1:
+        _fail("field.k", "required integer >= 1")
+    # before is_prime, whose trial division would stall on a huge p; k > 20
+    # already gives p^k >= 2^21, and k <= 20 keeps p**k cheap
+    if k > 20 or p**k > MAX_FIELD_ORDER:
+        _fail("field", f"order p^k must be at most {MAX_FIELD_ORDER}")
     if not is_prime(p):
         _fail("field.p", f"{p} is not prime")
-    if not isinstance(k, int) or k < 1:
-        _fail("field.k", "required integer >= 1")
     modulus = fobj.get("modulus")
     if modulus is not None and (
-        not isinstance(modulus, list) or not all(isinstance(c, int) for c in modulus)
+        not isinstance(modulus, list) or not all(_is_int(c) for c in modulus)
     ):
         _fail("field.modulus", "must be an integer array")
     try:
@@ -106,7 +117,7 @@ def parse_group_spec(document: str) -> GroupSpec:
             if not isinstance(row, list) or len(row) != degree:
                 _fail(f"generators[{gi}][{ri}]", f"row of length {degree} required")
             for ci, x in enumerate(row):
-                if not isinstance(x, int) or not 0 <= x < order:
+                if not _is_int(x) or not 0 <= x < order:
                     _fail(
                         f"generators[{gi}][{ri}][{ci}]",
                         f"field index in [0, {order}) required",

@@ -206,3 +206,43 @@ def test_stdout_golden_digest(capsys, argv, digest):
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("ratio", "q8", "--dmax", "2"), "--dmax: must be >= 3, got 2"),
+        (("cpd", "q8", "--d", "-1"), "--d: must be >= 1, got -1"),
+        (("cpd", "q8", "--d", "0"), "--d: must be >= 1, got 0"),
+        (("symbolic", "--fixture", "gl2", "--d", "0"), "--d: must be >= 1, got 0"),
+        (("family", "--family", "GL", "--size", "2", "--q", "3", "--d", "0"), "--d: must be >= 1"),
+        (("cpd", "q8", "--d", "two"), "--d: invalid int value: 'two'"),
+    ],
+)
+def test_out_of_range_arguments_exit_2_with_one_error_line(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+    assert "Traceback" not in captured.err
+
+
+def test_smallest_accepted_arguments(capsys):
+    code, out, _ = invoke(capsys, "ratio", "q8", "--dmax", "3")
+    assert code == 0 and out.startswith("d,class_count,ratio,delta\n1,5,5/4,\n")
+    code, out, _ = invoke(capsys, "cpd", "q8", "--d", "1")
+    assert code == 0 and out.strip().splitlines()[1] == "1,5,8,1"
+    code, out, _ = invoke(capsys, "symbolic", "--fixture", "gl2", "--d", "1")
+    assert code == 0 and out.strip().splitlines()[-1].startswith("1,")
+
+
+def test_boolean_spec_degree_exits_2(tmp_path, capsys):
+    doc = {"name": "S3", "kind": "permutation", "degree": True, "generators": [[0]]}
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "classes", str(path))
+    assert code == 2 and out == ""
+    assert "degree" in err

@@ -2,14 +2,23 @@ import random
 
 import pytest
 
+from commprob import groups as groups_module
 from commprob.errors import CapExceededError, MixedCarriersError
 from commprob.fields import field_create
 from commprob.groups import (
+    GroupElement,
     Subgroup,
     center,
     group_generate,
     matrix_element,
     permutation_element,
+)
+from commprob.groupspec import (
+    CORPUS_NAMES,
+    build_group,
+    corpus_group,
+    corpus_spec,
+    parse_group_spec,
 )
 
 
@@ -135,3 +144,98 @@ def test_subgroup_validation(corpus):
     assert Subgroup(g, [0]).is_subgroup()
     # a transposition and a 3-cycle together do not close up
     assert not Subgroup(g, [0, 1, 2]).is_subgroup()
+
+
+GL2_F4_SPEC = """{
+  "name": "GL2(F4)",
+  "kind": "matrix",
+  "field": {"p": 2, "k": 2, "modulus": [1, 1, 1]},
+  "degree": 2,
+  "generators": [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[2, 0], [0, 1]]]
+}"""
+
+GL2_F5_SPEC = """{
+  "name": "GL2(F5)",
+  "kind": "matrix",
+  "field": {"p": 5, "k": 1},
+  "degree": 2,
+  "generators": [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[2, 0], [0, 1]]]
+}"""
+
+
+def conjugated_gl2_f3():
+    """GL2(F3) from h g h^-1 for the corpus generators g: same group, new order."""
+    f3 = field_create(3, 1)
+    h = matrix_element(f3, [[1, 2], [1, 0]])
+    carrier = h.carrier
+    h_inv = carrier.inv(h.data)
+    gens = [
+        GroupElement(carrier, carrier.mul(carrier.mul(h.data, g.data), h_inv))
+        for g in (matrix_element(f3, rows) for rows in corpus_spec("gl2_f3").generators)
+    ]
+    return group_generate(gens, name="GL2(F3)^h")
+
+
+def assert_tables_match_carrier(group):
+    group.inv(0)
+    carrier, elements, index = group.carrier, group.elements, group.index
+    n = group.order
+    assert group._mul_table is not None and len(group._mul_table) == n
+    for i, row in enumerate(group._mul_table):
+        assert row == [index[carrier.mul(elements[i], b)] for b in elements]
+    assert group._inv_table == [index[carrier.inv(a)] for a in elements]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_composed_table_matches_carrier_on_corpus(name):
+    assert_tables_match_carrier(corpus_group(name))
+
+
+def test_composed_table_matches_carrier_extension_field():
+    group = build_group(parse_group_spec(GL2_F4_SPEC))
+    assert group.order == 180
+    assert_tables_match_carrier(group)
+
+
+def test_composed_table_matches_carrier_conjugated_generators():
+    group = conjugated_gl2_f3()
+    corpus = corpus_group("gl2_f3")
+    assert group.order == 48
+    assert group.elements != corpus.elements  # a different discovery order
+    assert group.canonical_encodings() == corpus.canonical_encodings()
+    assert_tables_match_carrier(group)
+
+
+def test_carrier_path_above_table_limit():
+    s7 = group_generate(
+        [permutation_element([1, 0, 2, 3, 4, 5, 6]), permutation_element([1, 2, 3, 4, 5, 6, 0])]
+    )
+    assert s7.order == 5040 > groups_module._TABLE_LIMIT
+    carrier, elements, index = s7.carrier, s7.elements, s7.index
+    assert s7.inv(0) == 0
+    assert s7._mul_table is None
+    rng = random.Random(13)
+    for _ in range(2000):
+        a, b = rng.randrange(5040), rng.randrange(5040)
+        assert s7.mul(a, b) == index[carrier.mul(elements[a], elements[b])]
+        assert s7.inv(a) == index[carrier.inv(elements[a])]
+    assert s7._mul_table is None
+
+
+def test_table_build_makes_no_carrier_products(monkeypatch):
+    # the full table comes from the closure's recorded actions; an n^2
+    # carrier build would show up here as 480^2 products
+    group = build_group(parse_group_spec(GL2_F5_SPEC))
+    assert group.order == 480
+    calls = []
+    mul = groups_module.MatrixCarrier.mul
+
+    def counted(carrier, a, b):
+        calls.append(1)
+        return mul(carrier, a, b)
+
+    monkeypatch.setattr(groups_module.MatrixCarrier, "mul", counted)
+    assert group.inv(0) == 0
+    assert group._mul_table is not None
+    assert len(calls) == 0
+    assert group.mul(5, 7) == group.index[mul(group.carrier, group.elements[5], group.elements[7])]

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -67,6 +68,9 @@ def test_malformed_json():
         (lambda d: d.update(degree=0), "degree"),
         (lambda d: d.update(generators=[]), "generators"),
         (lambda d: d.update(generators=[[0, 0, 1]]), "generators[0]"),
+        (lambda d: d.update(degree=True), "degree"),
+        (lambda d: d.update(degree=3.0), "degree"),
+        (lambda d: d.update(generators=[[True, 0, 2]]), "generators[0]"),
     ],
 )
 def test_permutation_validation_paths(mutate, path):
@@ -84,6 +88,13 @@ def test_permutation_validation_paths(mutate, path):
         (lambda d: d["field"].update(p=4), "field.p"),
         (lambda d: d["generators"][0][0].append(1), "generators[0][0]"),
         (lambda d: d["generators"][0][0].__setitem__(0, 7), "generators[0][0][0]"),
+        # JSON true/false are not integers, though Python's bool is an int
+        (lambda d: d.update(degree=True), "degree"),
+        (lambda d: d["field"].update(p=True), "field.p"),
+        (lambda d: d["field"].update(k=True), "field.k"),
+        (lambda d: d.update(field={"p": 2, "k": 2, "modulus": [True, 1, 1]}), "field.modulus"),
+        (lambda d: d["generators"][0][0].__setitem__(0, True), "generators[0][0][0]"),
+        (lambda d: d["generators"][1][0].__setitem__(0, False), "generators[1][0][0]"),
     ],
 )
 def test_matrix_validation_paths(mutate, path):
@@ -125,3 +136,35 @@ def test_corpus_orders(corpus):
 def test_unknown_corpus_name():
     with pytest.raises(KeyError):
         corpus_spec("monster")
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"p": 10**30 + 57, "k": 1},  # 30-digit p: rejected before any trial division
+        {"p": 1048583, "k": 1},  # smallest prime above 2^20
+        {"p": 2, "k": 21},
+        {"p": 1031, "k": 2},
+        {"p": 2, "k": 10**12},  # p**k is never formed
+    ],
+)
+def test_field_order_above_limit_rejected_promptly(field):
+    doc = json.loads(GL2_F3_DOC)
+    doc["field"] = field
+    start = time.monotonic()
+    with pytest.raises(GroupSpecValidationError) as err:
+        parse_group_spec(json.dumps(doc))
+    assert time.monotonic() - start < 0.5
+    assert "at most 1048576" in str(err.value)
+
+
+def test_field_order_at_limit_passes_the_size_check():
+    doc = json.loads(GL2_F3_DOC)
+    doc["field"] = {"p": 1048573, "k": 1}  # largest prime below 2^20
+    assert parse_group_spec(json.dumps(doc)).field.p == 1048573
+
+
+def test_integer_past_digit_limit_is_a_parse_error():
+    doc = GL2_F3_DOC.replace('"p": 3', '"p": ' + "7" * 5000)
+    with pytest.raises(GroupSpecParseError):
+        parse_group_spec(doc)
