@@ -68,12 +68,26 @@ def test_malformed_json():
         (lambda d: d.update(degree=0), "degree"),
         (lambda d: d.update(generators=[]), "generators"),
         (lambda d: d.update(generators=[[0, 0, 1]]), "generators[0]"),
+    ],
+)
+def test_permutation_validation_paths(mutate, path):
+    doc = json.loads(S3_DOC)
+    mutate(doc)
+    with pytest.raises(GroupSpecValidationError) as err:
+        parse_group_spec(json.dumps(doc))
+    assert path in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mutate,path",
+    [
         (lambda d: d.update(degree=True), "degree"),
         (lambda d: d.update(degree=3.0), "degree"),
         (lambda d: d.update(generators=[[True, 0, 2]]), "generators[0]"),
     ],
+    ids=["degree-bool", "degree-float", "generators[0]-bool"],
 )
-def test_permutation_validation_paths(mutate, path):
+def test_permutation_non_integer_paths(mutate, path):
     doc = json.loads(S3_DOC)
     mutate(doc)
     with pytest.raises(GroupSpecValidationError) as err:
@@ -88,7 +102,20 @@ def test_permutation_validation_paths(mutate, path):
         (lambda d: d["field"].update(p=4), "field.p"),
         (lambda d: d["generators"][0][0].append(1), "generators[0][0]"),
         (lambda d: d["generators"][0][0].__setitem__(0, 7), "generators[0][0][0]"),
-        # JSON true/false are not integers, though Python's bool is an int
+    ],
+)
+def test_matrix_validation_paths(mutate, path):
+    doc = json.loads(GL2_F3_DOC)
+    mutate(doc)
+    with pytest.raises(GroupSpecValidationError) as err:
+        parse_group_spec(json.dumps(doc))
+    assert path in str(err.value)
+
+
+# JSON true/false are not integers, though Python's bool is an int
+@pytest.mark.parametrize(
+    "mutate,path",
+    [
         (lambda d: d.update(degree=True), "degree"),
         (lambda d: d["field"].update(p=True), "field.p"),
         (lambda d: d["field"].update(k=True), "field.k"),
@@ -96,8 +123,9 @@ def test_permutation_validation_paths(mutate, path):
         (lambda d: d["generators"][0][0].__setitem__(0, True), "generators[0][0][0]"),
         (lambda d: d["generators"][1][0].__setitem__(0, False), "generators[1][0][0]"),
     ],
+    ids=["degree", "field.p", "field.k", "field.modulus", "generators[0][0][0]", "generators[1][0][0]"],
 )
-def test_matrix_validation_paths(mutate, path):
+def test_matrix_bool_paths(mutate, path):
     doc = json.loads(GL2_F3_DOC)
     mutate(doc)
     with pytest.raises(GroupSpecValidationError) as err:
