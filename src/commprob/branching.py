@@ -40,13 +40,25 @@ class TypeRegistry:
     Registration order is the canonical id order; lookups never depend on
     anything but the stored centralizers.  This is the one mutable container
     in the package: registrations must be serialized by the caller.
+
+    Types sit in buckets keyed by the multiset of G-class ids of their
+    centralizer's members, and a lookup runs the transporter search only
+    against the types in its subgroup's bucket.  Conjugation maps each
+    member to a member of the same G-class, so conjugate subgroups share a
+    key.  Registered types are pairwise non-conjugate, so at most one type
+    matches a subgroup, and it is in that bucket: the bucket cannot change
+    the type id a lookup returns, only the number of searches it runs.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self.types: list[TypeEntry] = [
-            TypeEntry((0,), Subgroup.whole(group), 1)
-        ]
+        self._class_of = [0] * group.order
+        for cid, cls in enumerate(conjugacy_classes(group).classes):
+            for m in cls.members:
+                self._class_of[m] = cid
+        self.types: list[TypeEntry] = []
+        self._buckets: dict[tuple, list[int]] = {}
+        self._register(Subgroup.whole(group), (0,))
 
     def __len__(self) -> int:
         return len(self.types)
@@ -56,19 +68,33 @@ class TypeRegistry:
             raise UnknownTypeError(f"type {type_id} not registered (have {len(self.types)})")
         return self.types[type_id]
 
+    def bucket_key(self, subgroup: Subgroup) -> tuple[tuple[int, int], ...]:
+        """Sorted (G-class id, member count) pairs; equal for conjugate subgroups."""
+        counts: dict[int, int] = {}
+        class_of = self._class_of
+        for m in subgroup.members:
+            c = class_of[m]
+            counts[c] = counts.get(c, 0) + 1
+        return tuple(sorted(counts.items()))
+
     def lookup(self, subgroup: Subgroup) -> int | None:
-        for tid, entry in enumerate(self.types):
-            if subgroup_conjugate(self.group, entry.centralizer, subgroup) is not None:
+        for tid in self._buckets.get(self.bucket_key(subgroup), ()):
+            if subgroup_conjugate(self.group, self.types[tid].centralizer, subgroup) is not None:
                 return tid
         return None
+
+    def _register(self, subgroup: Subgroup, representative: tuple[int, ...]) -> int:
+        tid = len(self.types)
+        self.types.append(TypeEntry(representative, subgroup, len(representative)))
+        self._buckets.setdefault(self.bucket_key(subgroup), []).append(tid)
+        return tid
 
     def lookup_or_register(self, subgroup: Subgroup, representative: tuple[int, ...]) -> tuple[int, bool]:
         tid = self.lookup(subgroup)
         if tid is not None:
             return tid, False
         rep = tuple(x for x in representative if x != 0) or (0,)
-        self.types.append(TypeEntry(rep, subgroup, len(rep)))
-        return len(self.types) - 1, True
+        return self._register(subgroup, rep), True
 
     def abelian_type_ids(self) -> list[int]:
         return [tid for tid, entry in enumerate(self.types) if entry.centralizer.is_abelian]
@@ -229,10 +255,8 @@ def verify_structure(matrix: BranchingMatrix, registry: TypeRegistry) -> Structu
     beta = matrix.size
 
     def subgroup_center_order(sub: Subgroup) -> int:
-        mul = group.mul
-        return sum(
-            1 for x in sub.members if all(mul(x, y) == mul(y, x) for y in sub.members)
-        )
+        commute, gens = group.commute, sub.generators
+        return sum(1 for x in sub.members if all(commute(x, s) for s in gens))
 
     ok, detail = True, ""
     for i, lab in enumerate(matrix.labels):

@@ -22,10 +22,12 @@ from .counting import (
     asymptotic_ratio,
     class_count_sequence,
     family_asymptote,
+    family_base_power,
     oracle_class_count,
 )
 from .conjugacy import centralizer, conjugacy_classes, z_classes
 from .errors import ToolkitError
+from .fields import MAX_TRIAL_DIVISION
 from .groupspec import CORPUS_NAMES, build_group, corpus_spec, load_group_spec
 from .symbolic import degree_windows, fixture, fixture_names, verify_symbolic_structure
 
@@ -213,13 +215,14 @@ def cmd_family(args) -> int:
     )
     if args.d is not None:
         header += ",d,base_power"
-        row += f",{args.d},{_frac(result.base ** (args.d - 1))}"
+        row += f",{args.d},{_frac(family_base_power(result.base, args.d - 1))}"
     _emit([header, row], args.output)
     return 0
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer >= low, else a usage error (exit 2)."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type: an integer >= low (and <= high when given), else a
+    usage error (exit 2)."""
 
     def parse(text: str) -> int:
         try:
@@ -228,6 +231,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="classical-family order, abelian bound and base")
     p.add_argument("--family", choices=("GL", "U", "Sp", "O"), required=True)
     p.add_argument("--size", type=int, required=True, help="n for GL/U, l for Sp/O")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_int_at_least(2, MAX_TRIAL_DIVISION), required=True)
     p.add_argument("--d", type=_int_at_least(1), default=None)
     p.add_argument("--output", help="write data here instead of stdout")
     p.set_defaults(func=cmd_family)

@@ -4,6 +4,24 @@ Two commuting tuples are z-equivalent when their common centralizers are
 conjugate; a z-class of a group is the union of conjugacy classes whose
 centralizers are conjugate.  Everything here works on element indices of a
 FiniteGroup and is pure: safe for concurrent use on finished groups.
+
+The acting group H enters only through its generators (orbit-stabilizer,
+Handbook of Computational Group Theory, section 4.1):
+
+- A conjugacy class of H is the orbit of its least member under
+  conjugation by H's generators, found by one breadth-first search, so all
+  classes together cost |H| conjugations per generator.
+- The centralizer of a tuple is a chain of stabilizers, one per tuple
+  element x: a breadth-first search over the orbit of x under the current
+  subgroup K records, for each orbit point y, a transversal element u_y
+  with u_y x u_y^-1 = y.  Every search edge y -> z = s y s^-1 that is not
+  a tree edge gives a Schreier generator u_z^-1 s u_y, which fixes x;
+  together they generate the stabilizer (Schreier's lemma).  The known
+  order |K| / |orbit| stops the closure as soon as it is reached.
+- A transporter candidate g maps A onto B when |A| = |B| and g a g^-1 lies
+  in B for each generator a of A, since g A g^-1 is then a subgroup of B
+  of the same order.  Candidates are tried in the same order as always,
+  so the first witness is the same as when every member of A is tested.
 """
 
 from __future__ import annotations
@@ -11,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotCommutingError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, extend_subgroup
 
 
 @dataclass(frozen=True)
@@ -55,32 +73,79 @@ def commuting_tuple(group: FiniteGroup, indices) -> tuple[int, ...]:
     return t
 
 
+def _generator_pairs(group: FiniteGroup, h: Subgroup) -> list[tuple[int, int]]:
+    inv = group.inv
+    return [(s, inv(s)) for s in h.generators]
+
+
+def _stabilizer(group: FiniteGroup, k: Subgroup, x: int) -> Subgroup:
+    """Stabilizer of x in K under conjugation, by orbit-stabilizer."""
+    mul, inv = group.mul, group.inv
+    pairs = _generator_pairs(group, k)
+    orbit = [x]
+    transversal = {x: 0}  # orbit point y -> u in K with u x u^-1 = y
+    back_edges = []  # (z, s, u_y) for the search edges outside the tree
+    for y in orbit:  # also visits the points appended below: breadth-first
+        u = transversal[y]
+        for s, si in pairs:
+            z = mul(mul(s, y), si)
+            if z in transversal:
+                back_edges.append((z, s, u))
+            else:
+                transversal[z] = mul(s, u)
+                orbit.append(z)
+    if len(orbit) == 1:
+        return k
+    order = k.order // len(orbit)
+    elements, seen, gens = [0], {0}, []
+    for z, s, u in back_edges:
+        if len(elements) == order:
+            break
+        h = mul(inv(transversal[z]), mul(s, u))
+        if h not in seen:
+            extend_subgroup(mul, elements, seen, gens, h)
+    return Subgroup(group, elements, gens)
+
+
 def centralizer(group: FiniteGroup, tup, within: Subgroup | None = None) -> Subgroup:
-    """Common centralizer of a tuple; the empty tuple centralizes to everything."""
+    """Common centralizer of a tuple; the empty tuple centralizes to everything.
+
+    Starting from `within` (default the whole group), each tuple element in
+    turn cuts the subgroup down to its stabilizer under conjugation.  The
+    result carries the Schreier generators that built it.
+    """
     t = tuple(tup)
     for i in t:
         group.check_index(i)
-    universe = within.members if within is not None else range(group.order)
-    mul = group.mul
-    members = [z for z in universe if all(mul(z, g) == mul(g, z) for g in t)]
-    return Subgroup(group, members)
+    k = within if within is not None else Subgroup.whole(group)
+    for x in t:
+        k = _stabilizer(group, k, x)
+    return k
 
 
 def conjugacy_classes(group: FiniteGroup, within: Subgroup | None = None) -> ClassPartition:
     """Orbit partition under conjugation, representatives of minimal index.
 
     With `within` given, the subgroup acts on itself; class members are
-    still parent-group indices.
+    still parent-group indices.  Members are visited in increasing order,
+    and each one not yet placed starts the orbit search of its class.
     """
-    universe = within.members if within is not None else range(group.order)
-    conjugators = universe
+    h = within if within is not None else Subgroup.whole(group)
+    mul = group.mul
+    pairs = _generator_pairs(group, h)
     seen: set[int] = set()
     classes = []
-    for x in universe:
+    for x in h.members:
         if x in seen:
             continue
-        orbit = {group.conj(g, x) for g in conjugators}
-        seen |= orbit
+        orbit, reached = [x], {x}
+        for y in orbit:  # also visits the points appended below
+            for s, si in pairs:
+                z = mul(mul(s, y), si)
+                if z not in reached:
+                    reached.add(z)
+                    orbit.append(z)
+        seen |= reached
         classes.append(ConjugacyClass(x, tuple(sorted(orbit))))
     return ClassPartition(tuple(classes))
 
@@ -91,11 +156,11 @@ def subgroup_conjugate(
     b: Subgroup,
     transporter=None,
 ) -> int | None:
-    """Return g with g*A*g^-1 = B, or None.
+    """Return the first candidate g with g*A*g^-1 = B, or None.
 
     Exhaustive transporter search over the whole group (or the given
     candidate iterable), short-circuited by order and by the element-order
-    multiset fingerprint.
+    multiset fingerprint.  A candidate is tested on A's generators only.
     """
     if a.order != b.order:
         return None
@@ -104,9 +169,10 @@ def subgroup_conjugate(
     candidates = transporter if transporter is not None else range(group.order)
     mul, inv = group.mul, group.inv
     target = b.member_set
+    gens = a.generators
     for g in candidates:
         gi = inv(g)
-        if all(mul(mul(g, x), gi) in target for x in a.members):
+        if all(mul(mul(g, x), gi) in target for x in gens):
             return g
     return None
 

@@ -11,11 +11,13 @@ arbitrary-precision integers and fractions, no floating point.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .branching import branching_matrix
-from .errors import CapExceededError, InexactDivisionError, InvalidFamilyError
+from .errors import CapExceededError, InexactDivisionError, InvalidFamilyError, OutputTooLargeError
 from .fields import is_prime_power
 from .groups import FiniteGroup, Subgroup
 
@@ -225,11 +227,36 @@ def family_base(family: str, size: int, q: int) -> Fraction:
     return Fraction(family_max_abelian(family, size, q), order)
 
 
+def _refuse_unprintable(base: int, exponent: int, what: str) -> None:
+    """Raise OutputTooLargeError unless every integer below 2 * base**exponent
+    has few enough digits to be printed, from logarithms alone.
+
+    The limit is the interpreter's int-to-str digit limit, or its default
+    of 4300 where there is none, so that no input makes a huge power.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    # 2**1000 bits is past any limit, and keeps the float product finite
+    log2_bound = min(exponent, 2**1000) * math.log2(base) + 1
+    digits = math.floor(log2_bound * math.log10(2)) + 1
+    if digits > limit:
+        raise OutputTooLargeError(
+            f"{what} could have {digits} digits; integers print with at most {limit}"
+        )
+
+
+def family_base_power(base: Fraction, e: int) -> Fraction:
+    """base**e (e >= 0), refused before it is computed when its numerator or
+    denominator could not be printed."""
+    _refuse_unprintable(max(base.numerator, base.denominator), e, f"base**{e}")
+    return base**e
+
+
 def family_asymptote(spec: FamilySpec) -> FamilyAsymptote:
     """Validated order / maximal-abelian / base triple for a family member.
 
     The commuting probability of a d-tuple decays like base**(d-1) up to a
-    constant.  Sp and O require odd q.
+    constant.  Sp and O require odd q.  A member whose order could not be
+    printed is refused before the order is computed.
     """
     if spec.family not in _FAMILIES:
         raise InvalidFamilyError(f"family must be one of {_FAMILIES}, got {spec.family!r}")
@@ -243,6 +270,11 @@ def family_asymptote(spec: FamilySpec) -> FamilyAsymptote:
         raise InvalidFamilyError(f"O needs size >= 2, got {spec.size}")
     if spec.family in ("Sp", "O") and spec.q % 2 == 0:
         raise InvalidFamilyError(f"{spec.family} requires odd q, got {spec.q}")
+    # |G| < 2 * q**dim by the order formulas, with dim = n^2 for GL_n and
+    # U_n, and dim <= 2l^2 + l for Sp_2l and O_2l
+    n = spec.size
+    dim = n * n if spec.family in ("GL", "U") else 2 * n * n + n
+    _refuse_unprintable(spec.q, dim, f"the order of {spec.family}_{n}({spec.q})")
     return FamilyAsymptote(
         family_order(spec.family, spec.size, spec.q),
         family_max_abelian(spec.family, spec.size, spec.q),

@@ -49,6 +49,10 @@ class InvalidFamilyError(ToolkitError):
     """Classical-family parameters are out of range."""
 
 
+class OutputTooLargeError(ToolkitError):
+    """A result would have more digits than integers may be printed with."""
+
+
 class InexactDivisionError(ToolkitError):
     """An orbit count came out non-integral; signals an arithmetic bug."""
 

@@ -14,9 +14,18 @@ from .errors import NonPrimeError, ReducibleModulusError
 # Largest field order p^k the package is meant for; group specs enforce it.
 MAX_FIELD_ORDER = 2**20
 
+# Largest n that trial division may factor: about 0.1 s at 10^12.
+MAX_TRIAL_DIVISION = 2**40
+
 
 def _smallest_factor(n: int) -> int:
-    """Least prime factor of n >= 2, by trial division up to sqrt(n)."""
+    """Least prime factor of n >= 2, by trial division up to sqrt(n).
+
+    Raises ValueError above MAX_TRIAL_DIVISION, where the division would
+    effectively never end.
+    """
+    if n > MAX_TRIAL_DIVISION:
+        raise ValueError(f"{n} is above {MAX_TRIAL_DIVISION}, the limit for trial division")
     if n % 2 == 0:
         return 2
     d = 3

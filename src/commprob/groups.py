@@ -14,6 +14,13 @@ composed from those lists alone.  Row 0 is the identity permutation, and
 when e_i was first found as s * e_p, row i is act_s applied to row p, since
 index(e_i * e_j) = index(s * (e_p * e_j)) = act_s[row_p[j]].  The table
 therefore costs no carrier products and no field operations.
+
+Every subgroup carries a generating set, and the scans over a subgroup
+(commutation, conjugation, closure) run over its generators rather than
+its members.  The whole group is generated by the indices of its
+generators; other subgroups by the generators that built them, or
+greedily over their sorted members.  Closures grow coset by coset
+(Dimino's algorithm, `extend_subgroup`).
 """
 
 from __future__ import annotations
@@ -181,7 +188,8 @@ class FiniteGroup:
     Index 0 is always the identity.  Multiplication and inversion go
     through a precomputed table for small groups and through the carrier
     otherwise.  Instances are immutable apart from lazily cached tables.
-    Built by `group_generate`, which hands over its element index and the
+    Built by `group_generate`, which hands over its element index, the
+    indices of the generators (`generators`, identity left out) and the
     seeds' recorded left actions (kept only while a table can be built).
     """
 
@@ -191,17 +199,19 @@ class FiniteGroup:
         elements: list[tuple[int, ...]],
         index: dict[tuple[int, ...], int],
         actions: list[list[int]] | None,
+        generators: tuple[int, ...],
         name: str = "",
     ):
         self.carrier = carrier
         self.elements = elements
         self.index = index
         self._actions = actions if len(elements) <= _TABLE_LIMIT else None
+        self.generators = generators
         self.name = name
         self._mul_table = None
         self._inv_table = None
         self._orders = None
-        self._is_abelian = None
+        self._whole = None
         self._branching = None
 
     @property
@@ -290,32 +300,61 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        if self._is_abelian is None:
-            self._is_abelian = all(
-                self.mul(i, j) == self.mul(j, i)
-                for i in range(self.order)
-                for j in range(i + 1, self.order)
-            )
-        return self._is_abelian
+        return Subgroup.whole(self).is_abelian
 
     def canonical_encodings(self) -> list[bytes]:
         """Sorted canonical byte encodings; equal for equal element sets."""
         return sorted(self.encode(i) for i in range(self.order))
 
 
-class Subgroup:
-    """A subgroup given by its sorted member indices in a parent group."""
+def extend_subgroup(mul, elements: list[int], seen: set[int], gens: list[int], g: int) -> None:
+    """Grow the subgroup H = <gens> to <H, g> in place (Dimino's algorithm).
 
-    def __init__(self, group: FiniteGroup, members):
+    `elements` lists H and `seen` holds the same indices; g must lie
+    outside H.  The new group is a union of right cosets H*r.  Each coset
+    representative times each generator either lands in a coset already
+    listed or gives the representative of a new one, whose |H| members are
+    then listed.  Cost: |H| products per new coset, plus one product per
+    (representative, generator) pair.
+    """
+    gens.append(g)
+    base = tuple(elements)
+    coset = [mul(h, g) for h in base]
+    elements.extend(coset)
+    seen.update(coset)
+    reps = [g]
+    for r in reps:  # also visits the representatives appended below
+        for s in gens:
+            y = mul(r, s)
+            if y not in seen:
+                coset = [mul(h, y) for h in base]
+                elements.extend(coset)
+                seen.update(coset)
+                reps.append(y)
+
+
+class Subgroup:
+    """A subgroup given by its sorted member indices in a parent group.
+
+    `generators`, when given, must generate the members; construction does
+    not check it.
+    """
+
+    def __init__(self, group: FiniteGroup, members, generators=None):
         self.group = group
         self.members = tuple(sorted(set(members)))
         self.member_set = frozenset(self.members)
+        self._generators = None if generators is None else tuple(generators)
         self._fingerprint = None
         self._is_abelian = None
 
     @classmethod
     def whole(cls, group: FiniteGroup) -> "Subgroup":
-        return cls(group, range(group.order))
+        """The group as a subgroup of itself, generated by the group's
+        generators; one shared instance per group."""
+        if group._whole is None:
+            group._whole = cls(group, range(group.order), group.generators)
+        return group._whole
 
     @property
     def order(self) -> int:
@@ -338,12 +377,28 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.group!r})"
 
     @property
-    def is_abelian(self) -> bool:
-        if self._is_abelian is None:
+    def generators(self) -> tuple[int, ...]:
+        """A generating set: the one given at construction, else a greedy
+        one over the sorted members (each member not yet spanned joins)."""
+        if self._generators is None:
+            elements, seen, gens = [0], {0}, []
             mul = self.group.mul
-            ms = self.members
+            for m in self.members:
+                if len(elements) >= self.order:
+                    break
+                if m not in seen:
+                    extend_subgroup(mul, elements, seen, gens, m)
+            self._generators = tuple(gens)
+        return self._generators
+
+    @property
+    def is_abelian(self) -> bool:
+        """Whether the generators commute pairwise."""
+        if self._is_abelian is None:
+            commute = self.group.commute
+            gs = self.generators
             self._is_abelian = all(
-                mul(a, b) == mul(b, a) for ai, a in enumerate(ms) for b in ms[ai + 1 :]
+                commute(a, b) for ai, a in enumerate(gs) for b in gs[ai + 1 :]
             )
         return self._is_abelian
 
@@ -381,8 +436,10 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
     a fixed generator list.  Every product s * e_x made here is kept: the
     element dict becomes `FiniteGroup.index`, and act_s[x] = index(s * e_x)
     is recorded for each seed s, from which `FiniteGroup` composes its
-    multiplication table.  Raises CapExceededError as soon as the closure
-    grows past `cap`.
+    multiplication table.  The generators' indices, in the given order
+    without repeats or the identity, become `FiniteGroup.generators`; no
+    closure is needed to find them.  Raises CapExceededError as soon as
+    the closure grows past `cap`.
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -416,11 +473,11 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
                 if i >= cap:
                     raise CapExceededError(f"closure exceeded cap of {cap} elements")
             act.append(i)
-    return FiniteGroup(carrier, elements, index, actions, name=name)
+    generators = tuple(dict.fromkeys(i for i in (index[g.data] for g in gens) if i != 0))
+    return FiniteGroup(carrier, elements, index, actions, generators, name=name)
 
 
 def center(group: FiniteGroup) -> Subgroup:
-    """Elements commuting with the whole group."""
-    n = group.order
-    members = [z for z in range(n) if all(group.mul(z, g) == group.mul(g, z) for g in range(n))]
-    return Subgroup(group, members)
+    """Elements commuting with every generator of the group."""
+    commute, gens = group.commute, group.generators
+    return Subgroup(group, [z for z in range(group.order) if all(commute(z, s) for s in gens)])

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from commprob.fields import field_create
+from commprob.groups import group_generate, matrix_element, permutation_element
 from commprob.groupspec import CORPUS_NAMES, corpus_group
 
 CORPUS_ORDERS = {
@@ -27,6 +29,58 @@ CORPUS_ORDERS = {
 def corpus():
     """All bundled groups, built once; branching matrices cache on them."""
     return {name: corpus_group(name) for name in CORPUS_NAMES}
+
+
+def symmetric_group(n, offset=0, degree=None):
+    """S_n acting on offset .. offset+n-1 of {0 .. degree-1}: an n-cycle and
+    a transposition."""
+    degree = n if degree is None else degree
+
+    def perm(cycle):
+        images = list(range(degree))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+        return images
+
+    points = list(range(offset, offset + n))
+    return [permutation_element(perm(points)), permutation_element(perm(points[:2]))]
+
+
+def gl2(p, modulus=None):
+    """GL2(F_q) from a transvection, the swap and diag(w, 1), w generating
+    F_q*; q = p, or p^k for a modulus of degree k."""
+    field = field_create(p, 1 if modulus is None else len(modulus) - 1, modulus)
+    q = field.order
+
+    def mult_order(x):
+        y, n = x, 1
+        while y != 1:
+            y, n = field.mul(y, x), n + 1
+        return n
+
+    w = next(x for x in range(2, q) if mult_order(x) == q - 1) if q > 2 else 1
+    rows = ([[1, 1], [0, 1]], [[0, 1], [1, 0]], [[w, 0], [0, 1]])
+    return group_generate([matrix_element(field, r) for r in rows], name=f"GL2(F{q})")
+
+
+def sl2(p):
+    """SL2(F_p) from its two elementary transvections."""
+    field = field_create(p, 1)
+    rows = ([[1, 1], [0, 1]], [[1, 0], [1, 1]])
+    return group_generate([matrix_element(field, r) for r in rows], name=f"SL2(F{p})")
+
+
+@pytest.fixture(scope="session")
+def large_groups():
+    """S7, SL2(F13) and S5 x S4: above both the 2048-element table limit and
+    the 500-element oracle cap."""
+    return {
+        "s7": group_generate(symmetric_group(7), name="S7"),
+        "sl2_f13": sl2(13),
+        "s5xs4": group_generate(
+            symmetric_group(5, 0, 9) + symmetric_group(4, 5, 9), name="S5xS4"
+        ),
+    }
 
 
 def subgroup_closure(group, seed):

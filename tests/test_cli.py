@@ -1,7 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import commprob
 
 from commprob.branching import branching_matrix
 from commprob.cli import load_branching_json, run
@@ -154,21 +161,19 @@ def test_invalid_spec_file_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
-def test_determinism_across_processes_and_hash_seeds():
-    # hash randomisation must not leak into any emitted ordering
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import commprob
-
-    # the child imports the same commprob as this process, installed or not
+def child_env(**extra):
+    """Environment for a child process that imports the same commprob as
+    this process, installed or not."""
     src = str(Path(commprob.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_determinism_across_processes_and_hash_seeds():
+    # hash randomisation must not leak into any emitted ordering
     outputs = []
     for seed in ("1", "4242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        env = child_env(PYTHONHASHSEED=seed)
         result = subprocess.run(
             [sys.executable, "-m", "commprob.cli", "branching", "s4", "--format", "json"],
             capture_output=True,
@@ -246,3 +251,59 @@ def test_boolean_spec_degree_exits_2(tmp_path, capsys):
     code, out, err = invoke(capsys, "classes", str(path))
     assert code == 2 and out == ""
     assert "degree" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--size", "2", "--q", "1000000000000000000000000000057"), "--q: must be <= 1099511627776"),
+        (("--size", "120", "--q", "2"), "the order of GL_120(2) could have 4336 digits"),
+        (("--size", "2", "--q", "7", "--d", "3000"), "base**2999 could have"),
+        (("--size", "1000000", "--q", "2"), "the order of GL_1000000(2) could have"),
+    ],
+)
+def test_family_boundary_exits_2_quickly(capsys, monkeypatch, argv, message):
+    from commprob import counting
+
+    if argv[1] == "1000000":
+        # refused from the bit-length estimate, before any power of q is formed
+        def no_order(*args):
+            raise AssertionError("family_order was called")
+
+        monkeypatch.setattr(counting, "family_order", no_order)
+    start = time.monotonic()
+    try:
+        code = run(["family", "--family", "GL", *argv])
+    except SystemExit as exc:
+        code = exc.code
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    assert code == 2 and elapsed < 1
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in captured.err
+
+
+def test_family_largest_printable_arguments(capsys):
+    from commprob.counting import family_order
+
+    code, out, _ = invoke(capsys, "family", "--family", "GL", "--size", "119", "--q", "2")
+    assert code == 0 and out.splitlines()[1].split(",")[3] == str(family_order("GL", 119, 2))
+    code, out, _ = invoke(capsys, "family", "--family", "GL", "--size", "2", "--q", "7", "--d", "2000")
+    assert code == 0 and out.splitlines()[1].endswith(",2000,1/" + str(42**1999))
+    code, out, _ = invoke(capsys, "family", "--family", "GL", "--size", "2", "--q", str(2**40))
+    assert code == 0
+
+
+def test_python_dash_m_commprob_runs_the_cli():
+    result = subprocess.run(
+        [sys.executable, "-m", "commprob", "ratio", "q8", "--dmax", "20"],
+        capture_output=True,
+        env=child_env(),
+    )
+    assert result.returncode == 0
+    assert (
+        hashlib.sha256(result.stdout).hexdigest()
+        == "65eb5dcb8f0b20dd7c8dbfc015177e15d470157ac4292327bc732bf42b4630fb"
+    )

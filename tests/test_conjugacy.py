@@ -12,9 +12,17 @@ from commprob.conjugacy import (
 )
 from commprob.errors import ElementNotInGroupError, NotCommutingError
 from commprob.fields import field_create
-from commprob.groups import Subgroup, group_generate, matrix_element, permutation_element
+from commprob.groups import (
+    FiniteGroup,
+    GroupElement,
+    Subgroup,
+    group_generate,
+    matrix_element,
+    permutation_element,
+)
+from commprob.groupspec import corpus_spec
 
-from conftest import subgroup_closure
+from conftest import subgroup_closure, symmetric_group
 
 
 def find_element(group, predicate):
@@ -248,3 +256,151 @@ def test_z_type_shared_across_tuple_lengths(corpus):
     t1 = tuple_z_type(g, (1,), registry)
     t2 = tuple_z_type(g, (1, minus_one, 1), registry)
     assert t1 == t2
+
+
+# Reference definitions: the plain scans over every member that the
+# orbit-stabilizer code replaced, kept here as its oracle.
+
+
+def reference_classes(group, h):
+    """(representative, sorted members) per class, conjugating by all of H."""
+    seen, classes = set(), []
+    for x in h.members:
+        if x in seen:
+            continue
+        orbit = {group.conj(g, x) for g in h.members}
+        seen |= orbit
+        classes.append((x, tuple(sorted(orbit))))
+    return classes
+
+
+def reference_centralizer(group, tup, universe):
+    return tuple(z for z in universe if all(group.commute(z, g) for g in tup))
+
+
+def reference_transporter(group, a, b, candidates):
+    """First candidate g with g A g^-1 = B, testing every member of A."""
+    if a.order != b.order:
+        return None
+    for g in candidates:
+        if frozenset(group.conj(g, x) for x in a.members) == b.member_set:
+            return g
+    return None
+
+
+def registered_subgroups(corpus):
+    """(group, registry, type id) for every registered type of every corpus
+    group; type 0's centralizer is the whole group."""
+    for group in corpus.values():
+        _, registry = branching_matrix(group)
+        for tid in range(len(registry)):
+            yield group, registry, tid
+
+
+def test_classes_and_centralizers_match_definition(corpus):
+    for group, registry, tid in registered_subgroups(corpus):
+        h = registry.entry(tid).centralizer
+        got = [(c.representative, c.members) for c in conjugacy_classes(group, within=h).classes]
+        assert got == reference_classes(group, h), (group, tid)
+        for x in h.members:
+            cent = centralizer(group, (x,), within=h)
+            assert cent.members == reference_centralizer(group, (x,), h.members), (group, tid, x)
+    for group in corpus.values():
+        assert conjugacy_classes(group) == conjugacy_classes(group, within=Subgroup.whole(group))
+
+
+def test_centralizer_of_type_representative_matches_definition(corpus):
+    for group, registry, tid in registered_subgroups(corpus):
+        entry = registry.entry(tid)
+        cent = centralizer(group, entry.representative)
+        assert cent.members == reference_centralizer(group, entry.representative, range(group.order))
+        assert cent == entry.centralizer
+
+
+@pytest.mark.parametrize("name", ["s4", "gl2_f3", "s5"])
+def test_subgroup_conjugate_matches_all_members_scan(corpus, name):
+    group = group_generate(symmetric_group(5)) if name == "s5" else corpus[name]
+    _, registry = branching_matrix(group)
+    cents = [entry.centralizer for entry in registry.types]
+    # conjugates of the registered centralizers, so that witnesses exist
+    cents += [
+        Subgroup(group, [group.conj(g, x) for x in c.members]) for c in cents for g in (1, 2)
+    ]
+    backwards = range(group.order - 1, -1, -1)
+    for a in cents:
+        for b in cents:
+            for candidates in (range(group.order), backwards):
+                expected = reference_transporter(group, a, b, candidates)
+                got = subgroup_conjugate(group, a, b, transporter=candidates)
+                assert got == expected
+
+
+def test_generators_span_the_members(corpus):
+    rng = random.Random(5)
+    for group, registry, tid in registered_subgroups(corpus):
+        sub = registry.entry(tid).centralizer
+        assert subgroup_closure(group, sub.generators) == sub.member_set
+        assert set(sub.generators) <= sub.member_set and 0 not in sub.generators
+    for group in corpus.values():
+        assert subgroup_closure(group, Subgroup.whole(group).generators) == frozenset(range(group.order))
+        for _ in range(6):
+            seed = [rng.randrange(group.order) for _ in range(2)]
+            sub = Subgroup(group, subgroup_closure(group, seed))  # greedy generators
+            gens = sub.generators
+            assert subgroup_closure(group, gens) == sub.member_set
+            assert list(gens) == sorted(gens) and 0 not in gens
+
+
+def test_registry_key_is_a_conjugation_invariant(corpus):
+    for name in ("s4", "gl2_f3", "gl3_f2"):
+        group = corpus[name]
+        _, registry = branching_matrix(group)
+        for tid, entry in enumerate(registry.types):
+            key = registry.bucket_key(entry.centralizer)
+            for g in range(0, group.order, 7):
+                conj = Subgroup(group, [group.conj(g, x) for x in entry.centralizer.members])
+                assert registry.bucket_key(conj) == key
+                assert registry.lookup(conj) == tid
+
+
+@pytest.mark.parametrize("name", ["s4", "gl2_f3", "gl3_f2"])
+def test_matrix_and_types_unchanged_under_conjugated_generators(corpus, name):
+    spec = corpus_spec(name)
+    if spec.kind == "permutation":
+        gens = [permutation_element(g) for g in spec.generators]
+    else:
+        field = field_create(spec.field.p, spec.field.k, spec.field.modulus)
+        gens = [matrix_element(field, g) for g in spec.generators]
+    carrier = gens[0].carrier
+    h = carrier.mul(gens[0].data, carrier.mul(gens[-1].data, gens[0].data))
+    h_inv = carrier.inv(h)
+    conjugated = group_generate(
+        [GroupElement(carrier, carrier.mul(carrier.mul(h, g.data), h_inv)) for g in gens]
+    )
+    assert conjugated.elements != corpus[name].elements
+    matrix, registry = branching_matrix(conjugated)
+    expected_matrix, expected_registry = branching_matrix(corpus[name])
+    assert matrix == expected_matrix
+    assert [t.representative for t in registry.types] == [
+        t.representative for t in expected_registry.types
+    ]
+    assert [t.centralizer.members for t in registry.types] == [
+        t.centralizer.members for t in expected_registry.types
+    ]
+
+
+def test_classes_of_s7_cost_less_than_a_scan_by_every_element(large_groups, monkeypatch):
+    # conjugating each class representative by all of G would make
+    # k(G) * |G| = 15 * 5040 = 75,600 conjugations, two products each
+    s7 = large_groups["s7"]
+    s7.inv(0)
+    calls = []
+    mul = FiniteGroup.mul
+
+    def counted(group, a, b):
+        calls.append(1)
+        return mul(group, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counted)
+    assert conjugacy_classes(s7).count == 15
+    assert len(calls) < 15 * 5040

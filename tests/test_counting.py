@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from commprob.branching import branching_matrix
+from commprob.branching import branching_matrix, verify_structure
 from commprob.counting import (
     FamilySpec,
     asymptotic_ratio,
@@ -20,10 +20,11 @@ from commprob.counting import (
     max_abelian,
     oracle_class_count,
 )
+from commprob.conjugacy import conjugacy_classes
 from commprob.errors import CapExceededError, InvalidFamilyError
 from commprob.groups import group_generate, permutation_element
 
-from conftest import bruteforce_max_abelian_order, naive_orbit_count
+from conftest import bruteforce_max_abelian_order, gl2, naive_orbit_count, symmetric_group
 
 
 def test_class_count_small_values(corpus):
@@ -269,3 +270,34 @@ def test_class_count_sequence_consistent(corpus):
     assert seq[0] == 1
     for d in range(7):
         assert seq[d] == class_count(group, d)
+
+
+# Class numbers with no oracle behind them, for groups above the 500-element
+# oracle cap and the 2048-element table limit too.
+
+
+@pytest.mark.parametrize("n,partitions", [(5, 7), (6, 11), (7, 15)])
+def test_class_number_of_symmetric_group_is_partition_count(large_groups, n, partitions):
+    group = large_groups["s7"] if n == 7 else group_generate(symmetric_group(n))
+    assert conjugacy_classes(group).count == partitions
+
+
+@pytest.mark.parametrize("p,modulus,q", [(2, (1, 1, 1), 4), (5, None, 5), (7, None, 7)])
+def test_class_number_of_gl2_is_q_squared_minus_one(p, modulus, q):
+    group = gl2(p, modulus)
+    assert group.order == q * (q - 1) * (q * q - 1)
+    assert conjugacy_classes(group).count == q * q - 1
+
+
+def test_class_numbers_above_both_caps(large_groups):
+    assert conjugacy_classes(large_groups["sl2_f13"]).count == 17  # p + 4 for odd p
+    assert conjugacy_classes(large_groups["s5xs4"]).count == 7 * 5
+
+
+@pytest.mark.parametrize("name,k", [("s7", 15), ("sl2_f13", 17)])
+def test_counts_and_structure_above_both_caps(large_groups, name, k):
+    group = large_groups[name]
+    assert group.order > 2048
+    assert class_count(group, 1) == k
+    assert commuting_count(group, 2) == group.order * k
+    assert verify_structure(*branching_matrix(group)).ok

@@ -102,3 +102,14 @@ def test_is_prime_and_prime_power_against_brute_force():
     assert is_prime(100000007) and is_prime_power(100000007)
     assert is_prime_power(3**17) and not is_prime(3**17)
     assert not is_prime_power(2 * 100000007)
+
+
+def test_trial_division_refuses_numbers_above_its_bound():
+    from commprob.fields import MAX_TRIAL_DIVISION
+
+    assert is_prime_power(MAX_TRIAL_DIVISION)  # 2^40 itself is accepted
+    for n in (MAX_TRIAL_DIVISION + 1, 10**30 + 57):
+        with pytest.raises(ValueError):
+            is_prime(n)
+        with pytest.raises(ValueError):
+            is_prime_power(n)
