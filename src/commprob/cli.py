@@ -19,6 +19,7 @@ from fractions import Fraction
 from .branching import branching_matrix, verify_structure
 from .counting import (
     FamilySpec,
+    _refuse_unprintable,
     asymptotic_ratio,
     class_count_sequence,
     family_asymptote,
@@ -134,8 +135,16 @@ def cmd_branching(args) -> int:
     return 0
 
 
+def _refuse_unprintable_counts(group, d: int) -> None:
+    """Refuse, before any count is computed, a table up to d whose integers
+    could not be printed: every count, numerator and denominator in `cpd`
+    and `ratio` is at most |G|**d."""
+    _refuse_unprintable(group.order, d, f"|G|**{d} = {group.order}**{d}")
+
+
 def cmd_cpd(args) -> int:
     group = _resolve_group(args.group)
+    _refuse_unprintable_counts(group, args.d)
     counts = class_count_sequence(group, args.d)
     header = "d,class_count,commuting_count,cp"
     if args.oracle:
@@ -165,6 +174,7 @@ def cmd_cpd(args) -> int:
 
 def cmd_ratio(args) -> int:
     group = _resolve_group(args.group)
+    _refuse_unprintable_counts(group, args.dmax)
     report = asymptotic_ratio(group, args.dmax)
     lines = ["d,class_count,ratio,delta"]
     prev = None

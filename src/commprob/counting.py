@@ -5,8 +5,13 @@ c(d) counts simultaneous conjugacy classes of commuting d-tuples and equals
 is |G| * c(d-1) and the commuting probability is that count over |G|^d.
 An independent cross-check comes from Burnside orbit counting: the orbit
 count of G on commuting d-tuples is |C_{d+1}(G)| / |G| where
-|C_{k+1}(H)| = sum over g in H of |C_k(Z_H(g))|.  Everything is exact:
-arbitrary-precision integers and fractions, no floating point.
+|C_{k+1}(H)| = sum over g in H of |C_k(Z_H(g))|.  The oracle represents
+each member set as an int bitmask, takes every centralizer as an AND with a
+commutation mask built once per call (|G|(|G| - 1) products at most), and
+evaluates every k by one dynamic programme over the DAG of centralizers
+reachable from G, at one AND per (node, member).  It uses nothing from the
+branching matrix it checks.  Everything is exact: arbitrary-precision
+integers and fractions, no floating point.
 """
 
 from __future__ import annotations
@@ -39,15 +44,16 @@ def class_count_sequence(group: FiniteGroup, dmax: int) -> list[int]:
 def oracle_class_count(group: FiniteGroup, d: int, cap: int = 500) -> int:
     """Burnside orbit count of commuting d-tuples, independent of the matrix.
 
-    Memoised on the member set of the subgroup under recursion.  Intended
-    as a small-instance validator only; refuses groups above `cap`.
+    |C_{d+1}(G)| / |G| from the centralizer DAG of `_commuting_tuple_totals`:
+    |G|(|G| - 1) products per call at most, plus one bitmask AND per
+    (node, member).  Intended as a small-instance validator only; refuses
+    groups above `cap`.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if group.order > cap:
         raise CapExceededError(f"group of order {group.order} exceeds oracle cap {cap}")
-    memo: dict[tuple, int] = {}
-    total = _commuting_tuple_count(group, tuple(range(group.order)), d + 1, memo)
+    total = _commuting_tuple_totals(group, d + 1)[-1]
     orbits, remainder = divmod(total, group.order)
     if remainder:
         raise InexactDivisionError(
@@ -62,23 +68,50 @@ def commuting_tuple_total(group: FiniteGroup, d: int, cap: int = 500) -> int:
         raise ValueError("d must be >= 1")
     if group.order > cap:
         raise CapExceededError(f"group of order {group.order} exceeds oracle cap {cap}")
-    return _commuting_tuple_count(group, tuple(range(group.order)), d, {})
+    return _commuting_tuple_totals(group, d)[-1]
 
 
-def _commuting_tuple_count(group, members: tuple[int, ...], k: int, memo) -> int:
-    if k == 1:
-        return len(members)
-    key = (members, k)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    mul = group.mul
-    total = 0
-    for g in members:
-        cent = tuple(x for x in members if mul(x, g) == mul(g, x))
-        total += _commuting_tuple_count(group, cent, k - 1, memo)
-    memo[key] = total
-    return total
+def _commuting_tuple_totals(group: FiniteGroup, kmax: int) -> list[int]:
+    """[|C_1(G)|, ..., |C_kmax(G)|], where C_k(H) is the set of commuting
+    k-tuples of H, by |C_k(H)| = sum over g in H of |C_{k-1}(C_H(g))|.
+
+    A member set is an int bitmask and comm[g] holds the elements commuting
+    with g, so C_M(g) = M & comm[g].  The masks take one product pair per
+    unordered pair of non-identity elements.  The member sets reachable from
+    G form a small DAG; each node records its children with multiplicities,
+    and one pass per k gives f_k(M) = sum of mult * f_{k-1}(child) from
+    f_1(M) = |M|.
+    """
+    n, mul = group.order, group.mul
+    comm = [1 | 1 << g for g in range(n)]
+    comm[0] = (1 << n) - 1
+    for g in range(2, n):
+        for x in range(1, g):
+            if mul(x, g) == mul(g, x):
+                comm[g] |= 1 << x
+                comm[x] |= 1 << g
+    full = comm[0]
+    children: dict[int, dict[int, int]] = {}
+    pending = [full]
+    while pending:
+        node = pending.pop()
+        if node in children:
+            continue
+        mults: dict[int, int] = {}
+        rest = node
+        while rest:
+            low = rest & -rest
+            child = node & comm[low.bit_length() - 1]
+            mults[child] = mults.get(child, 0) + 1
+            rest ^= low
+        children[node] = mults
+        pending.extend(child for child in mults if child not in children)
+    f = {node: node.bit_count() for node in children}
+    totals = [f[full]]
+    for _ in range(kmax - 1):
+        f = {node: sum(m * f[c] for c, m in kids.items()) for node, kids in children.items()}
+        totals.append(f[full])
+    return totals
 
 
 def commuting_count(group: FiniteGroup, d: int) -> int:

@@ -8,11 +8,24 @@ from the outside.
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from commprob.fields import field_create
 from commprob.groups import group_generate, matrix_element, permutation_element
 from commprob.groupspec import CORPUS_NAMES, corpus_group
+
+# Property tests draw the same examples on every run and keep no example
+# database, so tier-1 stays deterministic.  Hypothesis still caches source
+# constants and Unicode tables; they go to a directory removed at exit, so
+# no .hypothesis/ directory is written into the checkout.
+settings.register_profile("commprob", derandomize=True, deadline=None, database=None)
+settings.load_profile("commprob")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="commprob-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 CORPUS_ORDERS = {
     "s3": 6,

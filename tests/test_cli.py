@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -307,3 +308,41 @@ def test_python_dash_m_commprob_runs_the_cli():
         hashlib.sha256(result.stdout).hexdigest()
         == "65eb5dcb8f0b20dd7c8dbfc015177e15d470157ac4292327bc732bf42b4630fb"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("cpd", "s3", "--d", "6000"), "|G|**6000 = 6**6000 could have 4670 digits"),
+        (("ratio", "s3", "--dmax", "9500"), "|G|**9500 = 6**9500 could have 7393 digits"),
+        (("cpd", "s3", "--d", "100000000"), "6**100000000 could have"),
+        (("ratio", "s3", "--dmax", "100000000"), "6**100000000 could have"),
+    ],
+)
+def test_cpd_and_ratio_refuse_unprintable_tables_quickly(capsys, monkeypatch, argv, message):
+    from commprob import cli
+
+    # refused from logarithms, before any count is computed
+    def no_counts(*args):
+        raise AssertionError("a count was computed")
+
+    monkeypatch.setattr(cli, "class_count_sequence", no_counts)
+    monkeypatch.setattr(cli, "asymptotic_ratio", no_counts)
+    start = time.monotonic()
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and time.monotonic() - start < 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in err
+
+
+def test_cpd_largest_printed_integer_within_the_digit_limit(tmp_path, capsys):
+    # 6**5000 has 3891 digits, under the 4300-digit default; cp_d of S3 is
+    # c(d-1)/6**(d-1) with c(d) = (3**d + 2**(d+1) - 1)/2
+    target = tmp_path / "cpd.csv"
+    code, _, _ = invoke(capsys, "cpd", "s3", "--d", "5000", "--output", str(target))
+    assert code == 0
+    last = target.read_text().splitlines()[-1].split(",")
+    assert last[0] == "5000"
+    assert last[3] == str(Fraction(3**4999 + 2**5000 - 1, 2 * 6**4999))

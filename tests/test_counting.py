@@ -22,7 +22,7 @@ from commprob.counting import (
 )
 from commprob.conjugacy import conjugacy_classes
 from commprob.errors import CapExceededError, InvalidFamilyError
-from commprob.groups import group_generate, permutation_element
+from commprob.groups import FiniteGroup, group_generate, permutation_element
 
 from conftest import bruteforce_max_abelian_order, gl2, naive_orbit_count, symmetric_group
 
@@ -62,13 +62,66 @@ def test_oracle_examples(corpus):
 
 def test_oracle_matches_naive_enumeration(corpus):
     # the recursion against literal tuple enumeration plus orbit collection
-    for name in ("s3", "d4", "q8"):
-        group = corpus[name]
+    for group in corpus.values():
+        if group.order > 24:
+            continue
         for d in (1, 2, 3):
             total, orbits = naive_orbit_count(group, d)
             assert commuting_tuple_total(group, d) == total
             assert oracle_class_count(group, d) == orbits
             assert class_count(group, d) == orbits
+
+
+def reference_tuple_count(group, members, k, memo):
+    """|C_k| of the subgroup with these members, rebuilding each centralizer
+    by scanning the members: the member-tuple recursion the bitset oracle
+    replaced, kept as its reference."""
+    if k == 1:
+        return len(members)
+    key = (members, k)
+    if key not in memo:
+        memo[key] = sum(
+            reference_tuple_count(
+                group, tuple(x for x in members if group.commute(x, g)), k - 1, memo
+            )
+            for g in members
+        )
+    return memo[key]
+
+
+def test_oracle_matches_member_tuple_recursion(corpus):
+    for name, group in corpus.items():
+        memo = {}
+        whole = tuple(range(group.order))
+        for d in range(1, 5):
+            tuples = reference_tuple_count(group, whole, d, memo)
+            assert commuting_tuple_total(group, d) == tuples, (name, d)
+            orbits = reference_tuple_count(group, whole, d + 1, memo) // group.order
+            assert oracle_class_count(group, d) == orbits, (name, d)
+
+
+def test_oracle_past_the_default_cap():
+    s6 = group_generate(symmetric_group(6), name="S6")
+    with pytest.raises(CapExceededError):
+        oracle_class_count(s6, 4)
+    assert oracle_class_count(s6, 4, cap=720) == class_count(s6, 4)
+
+
+def test_oracle_makes_at_most_order_squared_products(monkeypatch):
+    # one commutation test per pair of elements; scanning the members of
+    # every centralizer again would make 2,884,800 products here
+    group = gl2(5)
+    expected = class_count(group, 6)
+    calls = []
+    mul = FiniteGroup.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counted)
+    assert oracle_class_count(group, 6) == expected
+    assert len(calls) <= group.order**2
 
 
 def test_oracle_cap(corpus):

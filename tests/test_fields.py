@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from commprob.errors import NonPrimeError, ReducibleModulusError
 from commprob.fields import Field, field_create, is_prime, is_prime_power
@@ -113,3 +114,58 @@ def test_trial_division_refuses_numbers_above_its_bound():
             is_prime(n)
         with pytest.raises(ValueError):
             is_prime_power(n)
+
+
+# Property tests over F_q for q in {2, 3, 4, 5, 7, 8, 9, 25}
+PROPERTY_FIELDS = [
+    field_create(2, 1),
+    field_create(3, 1),
+    field_create(2, 2, (1, 1, 1)),
+    field_create(5, 1),
+    field_create(7, 1),
+    field_create(2, 3, (1, 1, 0, 1)),
+    field_create(3, 2, (1, 0, 1)),
+    field_create(5, 2, (2, 0, 1)),  # x^2 + 2: -2 is not a square mod 5
+]
+
+
+@st.composite
+def field_elements(draw, count=3):
+    """A field from PROPERTY_FIELDS and `count` of its element indices."""
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    return field, [draw(st.integers(0, field.order - 1)) for _ in range(count)]
+
+
+@given(field_elements())
+def test_field_ring_axioms(drawn):
+    field, (a, b, c) = drawn
+    add, mul = field.add, field.mul
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert add(a, b) == add(b, a)
+    assert mul(a, b) == mul(b, a)
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
+
+
+@given(field_elements(count=2))
+def test_field_neg_sub_inv_identities(drawn):
+    field, (a, b) = drawn
+    assert field.add(a, field.neg(a)) == 0
+    assert field.neg(field.neg(a)) == a
+    assert field.sub(a, b) == field.add(a, field.neg(b))
+    assert field.add(field.sub(a, b), b) == a
+    if a != 0:
+        assert field.mul(a, field.inv(a)) == 1
+        assert field.inv(field.inv(a)) == a
+    if a != 0 and b != 0:
+        assert field.mul(a, b) != 0  # no zero divisors
+        assert field.inv(field.mul(a, b)) == field.mul(field.inv(a), field.inv(b))
+
+
+@given(field_elements(count=1))
+def test_field_encode_decode_round_trip(drawn):
+    field, (a,) = drawn
+    digits = field.decode(a)
+    assert len(digits) == field.k and all(0 <= x < field.p for x in digits)
+    assert field.encode(digits) == a

@@ -1,11 +1,15 @@
+import itertools
 import json
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from commprob.errors import GroupSpecParseError, GroupSpecValidationError
 from commprob.groupspec import (
     CORPUS_NAMES,
+    FieldSpec,
+    GroupSpec,
     build_group,
     corpus_spec,
     parse_group_spec,
@@ -196,3 +200,62 @@ def test_integer_past_digit_limit_is_a_parse_error():
     doc = GL2_F3_DOC.replace('"p": 3', '"p": ' + "7" * 5000)
     with pytest.raises(GroupSpecParseError):
         parse_group_spec(doc)
+
+
+# Round trips: a spec written to a JSON document parses back to itself
+
+
+def spec_document(spec: GroupSpec) -> str:
+    """A GroupSpec as a spec document, written independently of the parser."""
+    doc = {"name": spec.name, "kind": spec.kind, "degree": spec.degree}
+    if spec.field is not None:
+        doc["field"] = {"p": spec.field.p, "k": spec.field.k}
+        if spec.field.modulus is not None:
+            doc["field"]["modulus"] = list(spec.field.modulus)
+    doc["generators"] = [
+        [list(row) for row in gen] if spec.kind == "matrix" else list(gen)
+        for gen in spec.generators
+    ]
+    return json.dumps(doc)
+
+
+def _determinant(rows, p):
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total % p
+
+
+# letters, digits, JSON escapes and non-ASCII text
+NAMES = st.text('aZ09 _-()"\\/\n\té×ΣЖ', min_size=1, max_size=12)
+
+
+@st.composite
+def permutation_specs(draw):
+    degree = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return GroupSpec(draw(NAMES), "permutation", None, degree, tuple(tuple(g) for g in gens))
+
+
+@st.composite
+def prime_matrix_specs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    degree = draw(st.integers(1, 3))
+    rows = st.tuples(*[st.integers(0, p - 1)] * degree)
+    matrix = st.tuples(*[rows] * degree).filter(lambda m: _determinant(m, p) != 0)
+    gens = draw(st.lists(matrix, min_size=1, max_size=3))
+    return GroupSpec(draw(NAMES), "matrix", FieldSpec(p, 1), degree, tuple(gens))
+
+
+@given(permutation_specs())
+def test_permutation_spec_round_trip(spec):
+    assert parse_group_spec(spec_document(spec)) == spec
+
+
+@given(prime_matrix_specs())
+def test_prime_field_matrix_spec_round_trip(spec):
+    assert parse_group_spec(spec_document(spec)) == spec
