@@ -42,6 +42,7 @@ from .counting import (
     lie_type_estimate,
     max_abelian,
     oracle_class_count,
+    oracle_class_counts,
 )
 from .errors import ToolkitError
 from .fields import Field, field_create

@@ -24,7 +24,7 @@ from .counting import (
     class_count_sequence,
     family_asymptote,
     family_base_power,
-    oracle_class_count,
+    oracle_class_counts,
 )
 from .conjugacy import centralizer, conjugacy_classes, z_classes
 from .errors import ToolkitError
@@ -148,6 +148,7 @@ def cmd_cpd(args) -> int:
     counts = class_count_sequence(group, args.d)
     header = "d,class_count,commuting_count,cp"
     if args.oracle:
+        oracle_counts = oracle_class_counts(group, args.d)
         header += ",oracle,verdict"
     lines = [header]
     all_match = True
@@ -160,7 +161,7 @@ def cmd_cpd(args) -> int:
             _frac(Fraction(tuple_count, group.order**d)),
         ]
         if args.oracle:
-            oracle = oracle_class_count(group, d)
+            oracle = oracle_counts[d - 1]
             match = oracle == counts[d]
             all_match = all_match and match
             row += [str(oracle), "MATCH" if match else "MISMATCH"]

@@ -3,7 +3,8 @@
 Two commuting tuples are z-equivalent when their common centralizers are
 conjugate; a z-class of a group is the union of conjugacy classes whose
 centralizers are conjugate.  Everything here works on element indices of a
-FiniteGroup and is pure: safe for concurrent use on finished groups.
+FiniteGroup and is pure apart from the whole group's class partition,
+which is cached on the group: safe for concurrent use on finished groups.
 
 The acting group H enters only through its generators (orbit-stabilizer,
 Handbook of Computational Group Theory, section 4.1):
@@ -128,9 +129,14 @@ def conjugacy_classes(group: FiniteGroup, within: Subgroup | None = None) -> Cla
 
     With `within` given, the subgroup acts on itself; class members are
     still parent-group indices.  Members are visited in increasing order,
-    and each one not yet placed starts the orbit search of its class.
+    and each one not yet placed starts the orbit search of its class.  The
+    partition of the whole group, which depends only on the group, is
+    computed once and cached on it.
     """
     h = within if within is not None else Subgroup.whole(group)
+    whole = h.order == group.order
+    if whole and group._classes is not None:
+        return group._classes
     mul = group.mul
     pairs = _generator_pairs(group, h)
     seen: set[int] = set()
@@ -147,7 +153,10 @@ def conjugacy_classes(group: FiniteGroup, within: Subgroup | None = None) -> Cla
                     orbit.append(z)
         seen |= reached
         classes.append(ConjugacyClass(x, tuple(sorted(orbit))))
-    return ClassPartition(tuple(classes))
+    partition = ClassPartition(tuple(classes))
+    if whole:
+        group._classes = partition
+    return partition
 
 
 def subgroup_conjugate(

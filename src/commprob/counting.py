@@ -41,25 +41,32 @@ def class_count_sequence(group: FiniteGroup, dmax: int) -> list[int]:
     return matrix.first_column_sums(dmax)
 
 
-def oracle_class_count(group: FiniteGroup, d: int, cap: int = 500) -> int:
-    """Burnside orbit count of commuting d-tuples, independent of the matrix.
+def oracle_class_counts(group: FiniteGroup, dmax: int, cap: int = 500) -> list[int]:
+    """Burnside orbit counts [c(1), ..., c(dmax)], independent of the matrix.
 
-    |C_{d+1}(G)| / |G| from the centralizer DAG of `_commuting_tuple_totals`:
-    |G|(|G| - 1) products per call at most, plus one bitmask AND per
-    (node, member).  Intended as a small-instance validator only; refuses
-    groups above `cap`.
+    c(d) = |C_{d+1}(G)| / |G| for every d from one pass of
+    `_commuting_tuple_totals`: |G|(|G| - 1) products at most, plus one
+    bitmask AND per (node, member).  Intended as a small-instance validator
+    only; refuses groups above `cap`.
     """
-    if d < 1:
+    if dmax < 1:
         raise ValueError("d must be >= 1")
     if group.order > cap:
         raise CapExceededError(f"group of order {group.order} exceeds oracle cap {cap}")
-    total = _commuting_tuple_totals(group, d + 1)[-1]
-    orbits, remainder = divmod(total, group.order)
-    if remainder:
-        raise InexactDivisionError(
-            f"|C_{d + 1}| = {total} is not divisible by |G| = {group.order}"
-        )
-    return orbits
+    counts = []
+    for d, total in enumerate(_commuting_tuple_totals(group, dmax + 1)[1:], start=1):
+        orbits, remainder = divmod(total, group.order)
+        if remainder:
+            raise InexactDivisionError(
+                f"|C_{d + 1}| = {total} is not divisible by |G| = {group.order}"
+            )
+        counts.append(orbits)
+    return counts
+
+
+def oracle_class_count(group: FiniteGroup, d: int, cap: int = 500) -> int:
+    """Burnside orbit count c(d) of commuting d-tuples; see `oracle_class_counts`."""
+    return oracle_class_counts(group, d, cap)[-1]
 
 
 def commuting_tuple_total(group: FiniteGroup, d: int, cap: int = 500) -> int:

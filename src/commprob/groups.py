@@ -5,15 +5,22 @@ for matrices, image arrays for permutations.  A carrier object supplies the
 multiplication, inversion and canonical byte encoding for one kind of
 element, so two elements are equal exactly when their carriers and data
 agree.  All containers here are immutable after construction; only cached
-derived data (multiplication table, element orders) is filled in lazily.
+derived data (product words, inverses, element orders, classes) is filled
+in lazily.
 
 Generator closure records, for each seed s (a generator or the inverse of
 one), its left action on the element indices: act_s[x] = index(s * e_x).
-The multiplication table of a group at or below the table limit is
-composed from those lists alone.  Row 0 is the identity permutation, and
-when e_i was first found as s * e_p, row i is act_s applied to row p, since
-index(e_i * e_j) = index(s * (e_p * e_j)) = act_s[row_p[j]].  The table
-therefore costs no carrier products and no field operations.
+Products are replayed from those lists alone, at every order.  A
+breadth-first search from the identity gives each element e_i a word over
+the actions: when e_i is first reached as s * e_p, its word is the word of
+e_p followed by act_s, and since index(e_i * e_j) = index(s * (e_p * e_j)),
+the product index(e_i * e_j) is j pushed through the word, one list lookup
+per letter.  Words are kept shallow (Seress, Permutation Group Algorithms,
+section 4.4): once the search would pass a depth of
+max(8, 2 * bit_length(|G|)), the element at that depth becomes a new
+letter (with its inverse), its action composed from its word, and the
+search starts again.  No product after the closure costs a carrier
+product or a field operation.
 
 Every subgroup carries a generating set, and the scans over a subgroup
 (commutation, conjugation, closure) run over its generators rather than
@@ -29,11 +36,6 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, ElementNotInGroupError, MixedCarriersError
 from .fields import Field
-
-# Full multiplication tables are built below this order; larger groups fall
-# back to carrier arithmetic per product.
-_TABLE_LIMIT = 2048
-
 
 class MatrixCarrier:
     """n-by-n invertible matrices over a finite field."""
@@ -185,12 +187,13 @@ def permutation_element(images) -> GroupElement:
 class FiniteGroup:
     """A fully enumerated group with indexed elements.
 
-    Index 0 is always the identity.  Multiplication and inversion go
-    through a precomputed table for small groups and through the carrier
-    otherwise.  Instances are immutable apart from lazily cached tables.
-    Built by `group_generate`, which hands over its element index, the
-    indices of the generators (`generators`, identity left out) and the
-    seeds' recorded left actions (kept only while a table can be built).
+    Index 0 is always the identity.  Multiplication replays product words
+    over the closure's left actions and inversion reads a table, both
+    built on first use (`_ensure_tables`) at every order.  Instances are
+    immutable apart from those and other lazily cached data.  Built by
+    `group_generate`, which hands over its element index, the indices of
+    the generators (`generators`, identity left out) and the seeds'
+    recorded left actions.
     """
 
     def __init__(
@@ -198,20 +201,21 @@ class FiniteGroup:
         carrier,
         elements: list[tuple[int, ...]],
         index: dict[tuple[int, ...], int],
-        actions: list[list[int]] | None,
+        actions: list[list[int]],
         generators: tuple[int, ...],
         name: str = "",
     ):
         self.carrier = carrier
         self.elements = elements
         self.index = index
-        self._actions = actions if len(elements) <= _TABLE_LIMIT else None
+        self._actions = actions
         self.generators = generators
         self.name = name
-        self._mul_table = None
+        self._words = None
         self._inv_table = None
         self._orders = None
         self._whole = None
+        self._classes = None
         self._branching = None
 
     @property
@@ -230,43 +234,53 @@ class FiniteGroup:
             raise ElementNotInGroupError(f"element index {i} outside group of order {self.order}")
 
     def _ensure_tables(self) -> None:
-        """Build the inverse table, and at or below the limit the full table.
+        """Build the product words and the inverse table.
 
-        The full table is composed from the recorded left actions by
-        replaying the closure's breadth-first search, so the BFS parents
-        need no storing: row 0 is the identity, and the first time act_s
-        maps row p to an index i without a row, row i is act_s applied to
-        row p.  Every row exists before the replay reaches it.  Above the
-        limit only the inverses are tabulated, through the carrier.
+        The letters start as the recorded left actions.  Whenever the
+        breadth-first search would pass the depth bound, the action of an
+        element at that depth, composed from its word in |G| lookups per
+        letter, joins the letters with its inverse, so the letters stay
+        closed under inverses like the seeds, and the search restarts.
+        Each restart puts an element that needed a longer word within
+        reach, so the loop ends.  An inverse is 0 pushed through the
+        reversed word under the letters' inverse permutations.
         """
-        if self._inv_table is not None:
-            return
-        n, actions = self.order, self._actions
-        if actions is None:
-            index, inv = self.index, self.carrier.inv
-            self._inv_table = [index[inv(e)] for e in self.elements]
-            return
-        rows = [None] * n
-        rows[0] = list(range(n))
-        for p in range(n):
-            row = rows[p]
-            for act in actions:
-                i = act[p]
-                if rows[i] is None:
-                    rows[i] = [act[v] for v in row]
-        self._mul_table = rows
-        self._inv_table = [row.index(0) for row in rows]
+        n, letters = self.order, list(self._actions)
+        bound = max(8, 2 * n.bit_length())
+        while True:
+            words, deep = _shallow_words(n, letters, bound)
+            if words is not None:
+                break
+            action = range(n)
+            for act in deep:
+                action = list(map(act.__getitem__, action))
+            letters += (action, _inverse_permutation(action))
+        inverses = {id(act): _inverse_permutation(act) for act in letters}
+        inv_table = []
+        for word in words:
+            x = 0
+            for act in reversed(word):
+                x = inverses[id(act)][x]
+            inv_table.append(x)
+        self._words = words
+        self._inv_table = inv_table
         self._actions = None
 
     def mul(self, i: int, j: int) -> int:
-        self._ensure_tables()
-        if self._mul_table is not None:
-            return self._mul_table[i][j]
-        return self.index[self.carrier.mul(self.elements[i], self.elements[j])]
+        words = self._words
+        if words is None:
+            self._ensure_tables()
+            words = self._words
+        for act in words[i]:
+            j = act[j]
+        return j
 
     def inv(self, i: int) -> int:
-        self._ensure_tables()
-        return self._inv_table[i]
+        table = self._inv_table
+        if table is None:
+            self._ensure_tables()
+            table = self._inv_table
+        return table[i]
 
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
@@ -305,6 +319,35 @@ class FiniteGroup:
     def canonical_encodings(self) -> list[bytes]:
         """Sorted canonical byte encodings; equal for equal element sets."""
         return sorted(self.encode(i) for i in range(self.order))
+
+
+def _inverse_permutation(perm: list[int]) -> list[int]:
+    out = [0] * len(perm)
+    for x, y in enumerate(perm):
+        out[y] = x
+    return out
+
+
+def _shallow_words(n: int, letters: list[list[int]], bound: int):
+    """Breadth-first words from the identity over the letters.
+
+    Returns (words, None) when every element is reached within `bound`
+    letters, else (None, word) for the first element of depth `bound`
+    that reaches an element not yet seen.
+    """
+    words: list = [None] * n
+    words[0] = ()
+    queue = [0]
+    for p in queue:  # also visits the elements appended below
+        word = words[p]
+        for act in letters:
+            i = act[p]
+            if words[i] is None:
+                if len(word) == bound:
+                    return None, word
+                words[i] = word + (act,)
+                queue.append(i)
+    return words, None
 
 
 def extend_subgroup(mul, elements: list[int], seen: set[int], gens: list[int], g: int) -> None:
@@ -435,10 +478,10 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
     their inverses (the seeds), so the element indexing is deterministic for
     a fixed generator list.  Every product s * e_x made here is kept: the
     element dict becomes `FiniteGroup.index`, and act_s[x] = index(s * e_x)
-    is recorded for each seed s, from which `FiniteGroup` composes its
-    multiplication table.  The generators' indices, in the given order
-    without repeats or the identity, become `FiniteGroup.generators`; no
-    closure is needed to find them.  Raises CapExceededError as soon as
+    is recorded for each seed s, from which `FiniteGroup` builds its
+    product words.  The generators' indices, in the given order without
+    repeats or the identity, become `FiniteGroup.generators`; no closure is
+    needed to find them.  Raises CapExceededError as soon as
     the closure grows past `cap`.
     """
     if not gens:

@@ -85,8 +85,8 @@ def sl2(p):
 
 @pytest.fixture(scope="session")
 def large_groups():
-    """S7, SL2(F13) and S5 x S4: above both the 2048-element table limit and
-    the 500-element oracle cap."""
+    """S7, SL2(F13) and S5 x S4: 2184 to 5040 elements, above the
+    500-element oracle cap."""
     return {
         "s7": group_generate(symmetric_group(7), name="S7"),
         "sl2_f13": sl2(13),

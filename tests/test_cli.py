@@ -204,11 +204,16 @@ def test_determinism_across_processes_and_hash_seeds():
             ("ratio", "q8", "--dmax", "20"),
             "65eb5dcb8f0b20dd7c8dbfc015177e15d470157ac4292327bc732bf42b4630fb",
         ),
+        (
+            ("cpd", "gl3_f2", "--d", "8", "--oracle"),
+            "4e6cdbb69daecb6f7c5d3562d8e6794ce52393b1e9827ad11b304b01b8c542e6",
+        ),
     ],
 )
 def test_stdout_golden_digest(capsys, argv, digest):
     # stdout digests pinned before `symbolic` and `ratio` moved onto library
-    # results; the bytes must not change
+    # results, and before `cpd --oracle` took every row from one oracle pass;
+    # the bytes must not change
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

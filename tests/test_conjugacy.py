@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from commprob.branching import TypeRegistry, branching_matrix, tuple_z_type
+from commprob import conjugacy
+from commprob.branching import TypeRegistry, branching_matrix, tuple_z_type, verify_structure
 from commprob.conjugacy import (
     centralizer,
     commuting_tuple,
@@ -20,7 +21,7 @@ from commprob.groups import (
     matrix_element,
     permutation_element,
 )
-from commprob.groupspec import corpus_spec
+from commprob.groupspec import corpus_group, corpus_spec
 
 from conftest import subgroup_closure, symmetric_group
 
@@ -389,10 +390,11 @@ def test_matrix_and_types_unchanged_under_conjugated_generators(corpus, name):
     ]
 
 
-def test_classes_of_s7_cost_less_than_a_scan_by_every_element(large_groups, monkeypatch):
+def test_classes_of_s7_cost_less_than_a_scan_by_every_element(monkeypatch):
     # conjugating each class representative by all of G would make
-    # k(G) * |G| = 15 * 5040 = 75,600 conjugations, two products each
-    s7 = large_groups["s7"]
+    # k(G) * |G| = 15 * 5040 = 75,600 conjugations, two products each; a
+    # fresh group, since the whole group's classes are cached on it
+    s7 = group_generate(symmetric_group(7))
     s7.inv(0)
     calls = []
     mul = FiniteGroup.mul
@@ -404,3 +406,23 @@ def test_classes_of_s7_cost_less_than_a_scan_by_every_element(large_groups, monk
     monkeypatch.setattr(FiniteGroup, "mul", counted)
     assert conjugacy_classes(s7).count == 15
     assert len(calls) < 15 * 5040
+
+
+@pytest.mark.parametrize("name", ["s4", "gl3_f2"])
+def test_whole_group_classes_computed_once(monkeypatch, name):
+    # z_classes of type 0, the registry's bucket key and both class checks
+    # of verify_structure share one partition of the whole group
+    group = corpus_group(name)  # fresh: nothing cached yet
+    made = []
+    partition = conjugacy.ClassPartition
+
+    def counted(classes):
+        made.append(sum(len(c.members) for c in classes))
+        return partition(classes)
+
+    monkeypatch.setattr(conjugacy, "ClassPartition", counted)
+    matrix, registry = branching_matrix(group)
+    assert verify_structure(matrix, registry).ok
+    assert made.count(group.order) == 1
+    assert conjugacy_classes(group) is conjugacy_classes(group, within=Subgroup.whole(group))
+    assert made.count(group.order) == 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from commprob import branching, cli, conjugacy, counting
 from commprob.branching import branching_matrix, verify_structure
 from commprob.counting import (
     FamilySpec,
@@ -19,10 +20,12 @@ from commprob.counting import (
     lie_type_estimate,
     max_abelian,
     oracle_class_count,
+    oracle_class_counts,
 )
 from commprob.conjugacy import conjugacy_classes
 from commprob.errors import CapExceededError, InvalidFamilyError
 from commprob.groups import FiniteGroup, group_generate, permutation_element
+from commprob.groupspec import corpus_group
 
 from conftest import bruteforce_max_abelian_order, gl2, naive_orbit_count, symmetric_group
 
@@ -122,6 +125,39 @@ def test_oracle_makes_at_most_order_squared_products(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "mul", counted)
     assert oracle_class_count(group, 6) == expected
     assert len(calls) <= group.order**2
+
+
+def test_oracle_rows_from_one_pass_without_the_matrix(corpus, monkeypatch, capsys):
+    # every row of the oracle, and of `cpd --oracle`, from one pass, with the
+    # classes and the branching matrix out of reach of the oracle
+    expected = {name: class_count_sequence(group, 6)[1:] for name, group in corpus.items()}
+    passes = []
+    totals = counting._commuting_tuple_totals
+
+    def counted(group, kmax):
+        passes.append(kmax)
+        return totals(group, kmax)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the matrix machinery")
+
+    monkeypatch.setattr(counting, "_commuting_tuple_totals", counted)
+    for module in (branching, conjugacy, counting, cli):
+        for attr in ("conjugacy_classes", "branching_matrix"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    for name in corpus:
+        fresh = corpus_group(name)  # nothing cached on it
+        assert oracle_class_counts(fresh, 6) == expected[name], name
+        assert oracle_class_count(fresh, 1) == expected[name][0], name
+        assert oracle_class_count(fresh, 6) == expected[name][5], name
+    assert passes == [7, 2, 7] * len(corpus)
+    monkeypatch.undo()
+    passes.clear()
+    monkeypatch.setattr(counting, "_commuting_tuple_totals", counted)
+    assert cli.run(["cpd", "gl3_f2", "--d", "8", "--oracle"]) == 0
+    assert passes == [9]
+    assert capsys.readouterr().out.count("MATCH") == 8
 
 
 def test_oracle_cap(corpus):
@@ -326,7 +362,7 @@ def test_class_count_sequence_consistent(corpus):
 
 
 # Class numbers with no oracle behind them, for groups above the 500-element
-# oracle cap and the 2048-element table limit too.
+# oracle cap, built from 2184 to 5040 elements.
 
 
 @pytest.mark.parametrize("n,partitions", [(5, 7), (6, 11), (7, 15)])

@@ -21,6 +21,8 @@ from commprob.groupspec import (
     parse_group_spec,
 )
 
+from conftest import gl2, symmetric_group
+
 
 def gl_order(n, q):
     order = 1
@@ -176,25 +178,44 @@ def conjugated_gl2_f3():
     return group_generate(gens, name="GL2(F3)^h")
 
 
-def assert_tables_match_carrier(group):
-    group.inv(0)
+def word_bound(group):
+    """The depth bound on product words: max(8, 2 * bit_length(|G|))."""
+    return max(8, 2 * group.order.bit_length())
+
+
+def assert_mul_inv_match_carrier(group, pairs=None, seed=13):
+    """Products against carrier products, on every pair or on `pairs` seeded
+    ones; every inverse against the carrier inverse; words within the bound."""
     carrier, elements, index = group.carrier, group.elements, group.index
     n = group.order
-    assert group._mul_table is not None and len(group._mul_table) == n
-    for i, row in enumerate(group._mul_table):
-        assert row == [index[carrier.mul(elements[i], b)] for b in elements]
-    assert group._inv_table == [index[carrier.inv(a)] for a in elements]
+    if pairs is None:
+        todo = [(a, b) for a in range(n) for b in range(n)]
+    else:
+        rng = random.Random(seed)
+        todo = [(rng.randrange(n), rng.randrange(n)) for _ in range(pairs)]
+    for a, b in todo:
+        assert group.mul(a, b) == index[carrier.mul(elements[a], elements[b])], (a, b)
+    assert [group.inv(a) for a in range(n)] == [index[carrier.inv(a)] for a in elements]
+    assert max(len(word) for word in group._words) <= word_bound(group)
+
+
+# The test ids below predate the single multiplication path; each one now
+# checks `mul` and `inv` against the carrier.
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_composed_table_matches_carrier_on_corpus(name):
-    assert_tables_match_carrier(corpus_group(name))
+    assert_mul_inv_match_carrier(corpus_group(name))
 
 
 def test_composed_table_matches_carrier_extension_field():
     group = build_group(parse_group_spec(GL2_F4_SPEC))
     assert group.order == 180
-    assert_tables_match_carrier(group)
+    assert_mul_inv_match_carrier(group)
+    # above 2048 elements, seeded pairs
+    group = gl2(2, (1, 0, 1, 1))
+    assert group.order == 3528
+    assert_mul_inv_match_carrier(group, pairs=2000)
 
 
 def test_composed_table_matches_carrier_conjugated_generators():
@@ -203,39 +224,52 @@ def test_composed_table_matches_carrier_conjugated_generators():
     assert group.order == 48
     assert group.elements != corpus.elements  # a different discovery order
     assert group.canonical_encodings() == corpus.canonical_encodings()
-    assert_tables_match_carrier(group)
+    assert_mul_inv_match_carrier(group)
 
 
-def test_carrier_path_above_table_limit():
-    s7 = group_generate(
-        [permutation_element([1, 0, 2, 3, 4, 5, 6]), permutation_element([1, 2, 3, 4, 5, 6, 0])]
-    )
-    assert s7.order == 5040 > groups_module._TABLE_LIMIT
-    carrier, elements, index = s7.carrier, s7.elements, s7.index
+def test_carrier_path_above_table_limit(large_groups):
+    s7 = large_groups["s7"]
+    assert s7.order == 5040
     assert s7.inv(0) == 0
-    assert s7._mul_table is None
-    rng = random.Random(13)
-    for _ in range(2000):
-        a, b = rng.randrange(5040), rng.randrange(5040)
-        assert s7.mul(a, b) == index[carrier.mul(elements[a], elements[b])]
-        assert s7.inv(a) == index[carrier.inv(elements[a])]
-    assert s7._mul_table is None
+    assert_mul_inv_match_carrier(s7, pairs=2000)
+
+
+def test_cyclic_group_words_stay_shallow():
+    # GL1(F_10007) from one generator and its inverse: a plain breadth-first
+    # search would need words of about |G|/2 = 5003 letters
+    group = group_generate([matrix_element(field_create(10007, 1), [[5]])])
+    assert group.order == 10006
+    assert word_bound(group) == 28
+    assert_mul_inv_match_carrier(group, pairs=2000, seed=7)
 
 
 def test_table_build_makes_no_carrier_products(monkeypatch):
-    # the full table comes from the closure's recorded actions; an n^2
-    # carrier build would show up here as 480^2 products
-    group = build_group(parse_group_spec(GL2_F5_SPEC))
-    assert group.order == 480
+    # products and inverses come from the closure's recorded actions alone;
+    # the carriers are consulted before the patch, and only for the check
+    gl2_f5 = build_group(parse_group_spec(GL2_F5_SPEC))
+    s7 = group_generate(symmetric_group(7))
+    assert (gl2_f5.order, s7.order) == (480, 5040)
+    expected = {
+        group: [
+            group.index[group.carrier.mul(group.elements[a], group.elements[b])]
+            for a, b in ((5, 7), (group.order - 1, 3))
+        ]
+        for group in (gl2_f5, s7)
+    }
     calls = []
-    mul = groups_module.MatrixCarrier.mul
 
-    def counted(carrier, a, b):
-        calls.append(1)
-        return mul(carrier, a, b)
+    def counted(fn):
+        def wrapped(carrier, *args):
+            calls.append(fn.__qualname__)
+            return fn(carrier, *args)
 
-    monkeypatch.setattr(groups_module.MatrixCarrier, "mul", counted)
-    assert group.inv(0) == 0
-    assert group._mul_table is not None
-    assert len(calls) == 0
-    assert group.mul(5, 7) == group.index[mul(group.carrier, group.elements[5], group.elements[7])]
+        return wrapped
+
+    for cls in (groups_module.MatrixCarrier, groups_module.PermutationCarrier):
+        for attr in ("mul", "inv"):
+            monkeypatch.setattr(cls, attr, counted(getattr(cls, attr)))
+    for group, products in expected.items():
+        assert group.inv(0) == 0
+        assert [group.mul(5, 7), group.mul(group.order - 1, 3)] == products
+        assert all(group.mul(a, group.inv(a)) == 0 for a in range(group.order))
+    assert calls == []
