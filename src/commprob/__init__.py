@@ -11,7 +11,6 @@ from .branching import (
     BranchingMatrix,
     TypeRegistry,
     branching_matrix,
-    branching_submatrix,
     tuple_z_type,
     verify_structure,
 )
@@ -71,10 +70,8 @@ from .symbolic import (
     degree_window,
     degree_windows,
     diagonal_degree_interval,
-    export_grid,
     first_column_degree,
     fixture,
-    import_grid,
     max_entry_degree,
     maxplus_walk,
     psi_matrix_from_exponents,

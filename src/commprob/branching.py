@@ -114,35 +114,18 @@ def tuple_z_type(group: FiniteGroup, tup, registry: TypeRegistry) -> int:
 class BranchingMatrix:
     """Square non-negative integer matrix over tuple types.
 
-    `labels[i]` is the type id of row/column position i; the full matrix of
-    a group has labels 0..size-1, a submatrix keeps the original ids.
+    Row and column i belong to type i of the group's registry.
     """
 
-    def __init__(self, entries, labels=None):
+    def __init__(self, entries):
         self.entries = tuple(tuple(int(x) for x in row) for row in entries)
-        self.labels = tuple(labels) if labels is not None else tuple(range(len(self.entries)))
-        if len(self.labels) != len(self.entries):
-            raise ValueError("labels and entries disagree in size")
-        self._pos = {lab: i for i, lab in enumerate(self.labels)}
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
-    def position(self, label: int) -> int:
-        if label not in self._pos:
-            raise UnknownTypeError(f"type {label} not in matrix labels")
-        return self._pos[label]
-
-    def entry(self, row_label: int, col_label: int) -> int:
-        return self.entries[self.position(row_label)][self.position(col_label)]
-
-    def column_sum(self, col_label: int) -> int:
-        j = self.position(col_label)
-        return sum(row[j] for row in self.entries)
-
     def power(self, d: int) -> tuple[tuple[int, ...], ...]:
-        """Plain d-th matrix power (d >= 0) as tuples, labels unchanged."""
+        """Plain d-th matrix power (d >= 0) as tuples."""
         n = self.size
         result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         base = [list(row) for row in self.entries]
@@ -156,7 +139,7 @@ class BranchingMatrix:
         return tuple(tuple(row) for row in result)
 
     def first_column_sums(self, dmax: int) -> list[int]:
-        """[1 . B^d . e, for d = 0..dmax] against the column of type labels[0]."""
+        """[1 . B^d . e_0, for d = 0..dmax], e_0 the column of type 0."""
         n = self.size
         v = [1] + [0] * (n - 1)
         sums = [1]
@@ -169,11 +152,7 @@ class BranchingMatrix:
         return max(max(row) for row in self.entries)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BranchingMatrix)
-            and self.entries == other.entries
-            and self.labels == other.labels
-        )
+        return isinstance(other, BranchingMatrix) and self.entries == other.entries
 
     def __repr__(self) -> str:
         return f"BranchingMatrix(size={self.size})"
@@ -220,29 +199,6 @@ def branching_matrix(group: FiniteGroup) -> tuple[BranchingMatrix, TypeRegistry]
     return result
 
 
-def branching_submatrix(matrix: BranchingMatrix, registry: TypeRegistry, type_id: int) -> BranchingMatrix:
-    """Restriction of the matrix to the types reachable from `type_id`.
-
-    Reachable means the type itself, its branches (the nonzero rows of its
-    column), branches of branches, and so on.  Row/column order of the
-    parent matrix is preserved and the original type ids are kept as labels.
-    """
-    registry.entry(type_id)
-    _ = matrix.position(type_id)
-    reached = {type_id}
-    frontier = [type_id]
-    while frontier:
-        tau = frontier.pop()
-        j = matrix.position(tau)
-        for i, row in enumerate(matrix.entries):
-            if row[j] and matrix.labels[i] not in reached:
-                reached.add(matrix.labels[i])
-                frontier.append(matrix.labels[i])
-    keep = [i for i, lab in enumerate(matrix.labels) if lab in reached]
-    entries = [[matrix.entries[i][j] for j in keep] for i in keep]
-    return BranchingMatrix(entries, labels=[matrix.labels[i] for i in keep])
-
-
 def verify_structure(matrix: BranchingMatrix, registry: TypeRegistry) -> StructureReport:
     """Check the structural properties of a finite branching matrix.
 
@@ -259,14 +215,14 @@ def verify_structure(matrix: BranchingMatrix, registry: TypeRegistry) -> Structu
         return sum(1 for x in sub.members if all(commute(x, s) for s in gens))
 
     ok, detail = True, ""
-    for i, lab in enumerate(matrix.labels):
-        expected = subgroup_center_order(registry.entry(lab).centralizer)
+    for i in range(beta):
+        expected = subgroup_center_order(registry.entry(i).centralizer)
         if entries[i][i] != expected:
-            ok, detail = False, f"diagonal at type {lab}: {entries[i][i]} != {expected}"
+            ok, detail = False, f"diagonal at type {i}: {entries[i][i]} != {expected}"
             break
     checks.append(CheckResult("diagonal_is_center_order", ok, detail))
 
-    ok = entries[0][0] == subgroup_center_order(registry.entry(matrix.labels[0]).centralizer)
+    ok = entries[0][0] == subgroup_center_order(registry.entry(0).centralizer)
     checks.append(
         CheckResult("first_entry_is_group_center", ok, "" if ok else f"(0,0)={entries[0][0]}")
     )
@@ -282,23 +238,23 @@ def verify_structure(matrix: BranchingMatrix, registry: TypeRegistry) -> Structu
     )
 
     ok, detail = True, ""
-    for j, lab in enumerate(matrix.labels):
-        sub = registry.entry(lab).centralizer
+    for j in range(beta):
+        sub = registry.entry(j).centralizer
         if not sub.is_abelian:
             continue
         nonzero = [i for i in range(beta) if entries[i][j]]
         if nonzero != [j] or entries[j][j] != sub.order:
-            ok, detail = False, f"abelian column for type {lab}"
+            ok, detail = False, f"abelian column for type {j}"
             break
     checks.append(CheckResult("abelian_columns_diagonal_only", ok, detail))
 
     ok, detail = True, ""
-    for j, lab in enumerate(matrix.labels):
-        sub = registry.entry(lab).centralizer
+    for j in range(beta):
+        sub = registry.entry(j).centralizer
         expected = conjugacy_classes(group, within=sub).count
         got = sum(entries[i][j] for i in range(beta))
         if got != expected:
-            ok, detail = False, f"column {lab} sums to {got}, classes {expected}"
+            ok, detail = False, f"column {j} sums to {got}, classes {expected}"
             break
     checks.append(CheckResult("column_sums_are_class_counts", ok, detail))
 
@@ -312,6 +268,6 @@ def verify_structure(matrix: BranchingMatrix, registry: TypeRegistry) -> Structu
         )
     )
 
-    checks.append(CheckResult("finite_size", beta == len(matrix.labels) > 0, ""))
+    checks.append(CheckResult("finite_size", beta == len(registry) > 0, ""))
     return StructureReport(tuple(checks))
 

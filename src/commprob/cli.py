@@ -26,7 +26,7 @@ from .counting import (
     family_base_power,
     oracle_class_counts,
 )
-from .conjugacy import centralizer, conjugacy_classes, z_classes
+from .conjugacy import conjugacy_classes, z_classes
 from .errors import ToolkitError
 from .fields import MAX_TRIAL_DIVISION
 from .groupspec import CORPUS_NAMES, build_group, corpus_spec, load_group_spec
@@ -53,8 +53,11 @@ def _resolve_group(argument: str):
 def _emit(lines: list[str], output: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ToolkitError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -69,8 +72,9 @@ def cmd_classes(args) -> int:
             zclass_of[cid] = zid
     lines = ["class,representative,size,centralizer_order,zclass"]
     for cid, cls in enumerate(partition.classes):
-        cent = centralizer(group, (cls.representative,))
-        lines.append(f"{cid},{cls.representative},{cls.size},{cent.order},{zclass_of[cid]}")
+        lines.append(
+            f"{cid},{cls.representative},{cls.size},{group.order // cls.size},{zclass_of[cid]}"
+        )
     lines.append("")
     lines.append("zclass,classes,centralizer_order,abelian")
     for zid, zc in enumerate(zcs):
@@ -87,7 +91,7 @@ def branching_payload(group) -> dict:
         "group": group.name,
         "order": group.order,
         "size": matrix.size,
-        "labels": list(matrix.labels),
+        "labels": list(range(matrix.size)),
         "matrix": [list(row) for row in matrix.entries],
         "types": [
             {
@@ -102,13 +106,6 @@ def branching_payload(group) -> dict:
     }
 
 
-def load_branching_json(text: str):
-    """Re-import a `branching --format json` emission as (entries, payload)."""
-    payload = json.loads(text)
-    entries = tuple(tuple(int(x) for x in row) for row in payload["matrix"])
-    return entries, payload
-
-
 def cmd_branching(args) -> int:
     group = _resolve_group(args.group)
     matrix, registry = branching_matrix(group)
@@ -116,10 +113,10 @@ def cmd_branching(args) -> int:
     if args.format == "json":
         _emit([json.dumps(branching_payload(group), indent=2)], args.output)
     else:
-        header = "matrix," + ",".join(f"t{lab}" for lab in matrix.labels)
+        header = "matrix," + ",".join(f"t{i}" for i in range(matrix.size))
         lines = [header]
-        for lab, row in zip(matrix.labels, matrix.entries):
-            lines.append(f"t{lab}," + ",".join(str(x) for x in row))
+        for i, row in enumerate(matrix.entries):
+            lines.append(f"t{i}," + ",".join(str(x) for x in row))
         lines.append("")
         lines.append("type,depth,centralizer_order,abelian,representative")
         for tid, entry in enumerate(registry.types):

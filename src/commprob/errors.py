@@ -30,7 +30,7 @@ class NotCommutingError(ToolkitError):
 
 
 class UnknownTypeError(ToolkitError):
-    """Type id is not present in the registry or matrix labels."""
+    """Type id is not present in the type registry."""
 
 
 class UnknownFixtureError(ToolkitError):

@@ -86,25 +86,6 @@ class MatrixCarrier:
                     aug[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(aug[r], aug[col])]
         return tuple(aug[i][n + j] for i in range(n) for j in range(n))
 
-    def determinant(self, a) -> int:
-        n, f = self.n, self.field
-        rows = [list(a[i * n : (i + 1) * n]) for i in range(n)]
-        det = 1
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                det = f.neg(det)
-            det = f.mul(det, rows[col][col])
-            piv_inv = f.inv(rows[col][col])
-            for r in range(col + 1, n):
-                if rows[r][col] != 0:
-                    factor = f.mul(rows[r][col], piv_inv)
-                    rows[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[r], rows[col])]
-        return det
-
     def encode(self, a) -> bytes:
         return b"".join(x.to_bytes(4, "big") for x in a)
 
@@ -172,8 +153,10 @@ def matrix_element(field: Field, rows) -> GroupElement:
                 raise ValueError(f"field index {x} out of range for order {field.order}")
             data.append(int(x))
     carrier = MatrixCarrier(field, n)
-    if carrier.determinant(tuple(data)) == 0:
-        raise ValueError("matrix is singular")
+    try:
+        carrier.inv(data)
+    except ZeroDivisionError:
+        raise ValueError("matrix is singular") from None
     return GroupElement(carrier, tuple(data))
 
 

@@ -142,8 +142,13 @@ def build_group(spec: GroupSpec, cap: int = 20000) -> FiniteGroup:
 
 
 def load_group_spec(path) -> GroupSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_group_spec(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise GroupSpecParseError(f"cannot read {path}: {reason}") from exc
+    return parse_group_spec(document)
 
 
 CORPUS_NAMES = ("s3", "d4", "q8", "s4", "gl2_f2", "gl2_f3", "gl3_f2")

@@ -549,62 +549,3 @@ def verify_symbolic_structure(matrix: PsiMatrix) -> StructureReport:
     )
     return StructureReport(tuple(checks))
 
-
-# ---------------------------------------------------------------------------
-# exponent-grid text format
-
-_META_FIELDS = ("group_dim", "rank", "center_dim")
-
-
-def export_grid(matrix: PsiMatrix) -> str:
-    """Canonical text form: metadata lines, then comma-separated exponents
-    with -1 for zero entries.  Importing the export reproduces the matrix
-    bit-exactly."""
-    lines = [f"name {matrix.name}"]
-    for f_name in _META_FIELDS:
-        lines.append(f"{f_name} {getattr(matrix, f_name)}")
-    lines.append("depths " + " ".join(str(d) for d in matrix.depths))
-    lines.append("abelian " + " ".join("1" if b else "0" for b in matrix.abelian))
-    lines.append("grid")
-    for row in matrix.exponent_grid():
-        lines.append(",".join(str(e) for e in row))
-    return "\n".join(lines) + "\n"
-
-
-def import_grid(text: str) -> PsiMatrix:
-    """Parse the text form written by export_grid; blank cells mean zero."""
-    meta: dict[str, object] = {}
-    grid: list[list[int]] = []
-    in_grid = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if in_grid:
-            grid.append([int(cell) if cell.strip() else -1 for cell in line.split(",")])
-            continue
-        if line == "grid":
-            in_grid = True
-            continue
-        key, _, value = line.partition(" ")
-        if key == "name":
-            meta["name"] = value.strip()
-        elif key in _META_FIELDS:
-            meta[key] = int(value)
-        elif key == "depths":
-            meta["depths"] = [int(x) for x in value.split()]
-        elif key == "abelian":
-            meta["abelian"] = [x == "1" for x in value.split()]
-        else:
-            raise ValueError(f"unknown metadata line {raw!r}")
-    if not grid:
-        raise ValueError("no grid section found")
-    return psi_matrix_from_exponents(
-        str(meta.get("name", "imported")),
-        grid,
-        group_dim=int(meta["group_dim"]),
-        rank=int(meta["rank"]),
-        center_dim=int(meta.get("center_dim", 1)),
-        depths=meta.get("depths"),
-        abelian=meta.get("abelian"),
-    )

@@ -1,0 +1,32 @@
+"""The benchmark's tracer (`bench/tracing.py`) patches library functions and
+methods by name.  A library rename or deletion must fail here rather than
+only when `bench/run.py --trace 1` runs."""
+
+import importlib
+from pathlib import Path
+
+from commprob import branching, fields, groups, symbolic
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_every_name_the_tracer_patches_exists(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    tracing = importlib.import_module("tracing")
+    functions = [target for targets in tracing.SPAN_FUNCTIONS.values() for target in targets]
+    functions += list(tracing.NAMESPACE_OVERRIDES)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in functions
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    methods = [(fields.Field, attr) for attr in ("add", "sub", "mul", "neg", "inv")] + [
+        (groups.MatrixCarrier, "mul"),
+        (groups.PermutationCarrier, "mul"),
+        (groups.FiniteGroup, "mul"),
+        (symbolic.PsiPoly, "__mul__"),
+        (branching.TypeRegistry, "lookup"),
+        (groups.Subgroup, "fingerprint"),
+    ]
+    missing += [f"{cls.__name__}.{attr}" for cls, attr in methods if attr not in cls.__dict__]
+    assert missing == []

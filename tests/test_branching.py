@@ -1,13 +1,6 @@
-import pytest
-
-from commprob.branching import (
-    BranchingMatrix,
-    branching_matrix,
-    branching_submatrix,
-    verify_structure,
-)
+from commprob.branching import BranchingMatrix, branching_matrix, verify_structure
 from commprob.conjugacy import conjugacy_classes
-from commprob.errors import UnknownTypeError
+from commprob.counting import class_count_sequence
 from commprob.groups import center, group_generate, permutation_element
 
 
@@ -72,55 +65,30 @@ def test_column_sums_count_classes(corpus):
         matrix, registry = branching_matrix(group)
         for tid, entry in enumerate(registry.types):
             expected = conjugacy_classes(group, within=entry.centralizer).count
-            assert matrix.column_sum(tid) == expected
-        assert matrix.column_sum(0) == conjugacy_classes(group).count
+            assert sum(row[tid] for row in matrix.entries) == expected
+        assert sum(row[0] for row in matrix.entries) == conjugacy_classes(group).count
 
 
-def test_submatrix_of_root_is_whole(corpus):
-    matrix, registry = branching_matrix(corpus["s4"])
-    sub = branching_submatrix(matrix, registry, 0)
-    assert sub == matrix
+def test_type_column_walk_counts_classes_of_its_centralizer(corpus):
+    """Sum_a (B^d)[a][tau] = c_H(d) for H = C(tau) built as its own group.
 
-
-def test_submatrix_of_abelian_type_is_singleton(corpus):
-    for name in ("s3", "q8", "gl2_f3"):
-        matrix, registry = branching_matrix(corpus[name])
-        for tid in registry.abelian_type_ids():
-            sub = branching_submatrix(matrix, registry, tid)
-            assert sub.labels == (tid,)
-            assert sub.entries == ((registry.entry(tid).centralizer.order,),)
-
-
-def test_submatrix_unknown_type(corpus):
-    matrix, registry = branching_matrix(corpus["s3"])
-    with pytest.raises(UnknownTypeError):
-        branching_submatrix(matrix, registry, 99)
-
-
-def test_submatrix_power_stability(corpus):
-    """Powers restricted to a type's reachable block agree with full powers."""
+    The walk from tau only reaches types below tau, whose centralizers are
+    centralizers in H, so the tau column of B^d counts H's own classes of
+    commuting d-tuples."""
     for name in ("s3", "q8", "s4", "gl2_f3", "gl3_f2"):
-        matrix, registry = branching_matrix(corpus[name])
-        powers = {d: matrix.power(d) for d in range(1, 7)}
-        for tid in range(len(registry)):
-            sub = branching_submatrix(matrix, registry, tid)
-            for d in range(1, 7):
-                sub_power = BranchingMatrix(sub.power(d), labels=sub.labels)
-                full = powers[d]
-                for a in sub.labels:
-                    got = sub_power.entry(a, tid)
-                    expected = full[matrix.position(a)][matrix.position(tid)]
-                    assert got == expected, (name, tid, a, d)
-
-
-def test_submatrix_nested_consistency(corpus):
-    matrix, registry = branching_matrix(corpus["gl3_f2"])
-    for tid in range(len(registry)):
-        block = branching_submatrix(matrix, registry, tid)
-        for inner in block.labels:
-            direct = branching_submatrix(matrix, registry, inner)
-            via_block = branching_submatrix(block, registry, inner)
-            assert direct == via_block
+        group = corpus[name]
+        matrix, registry = branching_matrix(group)
+        sums = {d: [sum(col) for col in zip(*matrix.power(d))] for d in range(7)}
+        for tid, entry in enumerate(registry.types):
+            h = group_generate([group.element(g) for g in entry.centralizer.generators])
+            assert h.order == entry.centralizer.order
+            v = [1 if i == tid else 0 for i in range(matrix.size)]
+            walk = [1]
+            for _ in range(6):
+                v = [sum(x * y for x, y in zip(row, v)) for row in matrix.entries]
+                walk.append(sum(v))
+            assert walk == class_count_sequence(h, 6), (name, tid)
+            assert walk == [sums[d][tid] for d in range(7)], (name, tid)
 
 
 def test_registry_invariants(corpus):

@@ -12,7 +12,7 @@ import pytest
 import commprob
 
 from commprob.branching import branching_matrix
-from commprob.cli import load_branching_json, run
+from commprob.cli import run
 
 
 def invoke(capsys, *argv):
@@ -41,11 +41,11 @@ def test_cpd_without_oracle(capsys):
 def test_branching_json_round_trip(capsys, corpus):
     code, out, _ = invoke(capsys, "branching", "q8", "--format", "json")
     assert code == 0
-    entries, payload = load_branching_json(out)
+    payload = json.loads(out)
     matrix, registry = branching_matrix(corpus["q8"])
-    assert entries == matrix.entries
+    assert tuple(tuple(row) for row in payload["matrix"]) == matrix.entries
     assert payload["size"] == matrix.size
-    assert payload["labels"] == list(matrix.labels)
+    assert payload["labels"] == list(range(matrix.size))
     assert [t["centralizer_order"] for t in payload["types"]] == [
         e.centralizer.order for e in registry.types
     ]
@@ -208,12 +208,29 @@ def test_determinism_across_processes_and_hash_seeds():
             ("cpd", "gl3_f2", "--d", "8", "--oracle"),
             "4e6cdbb69daecb6f7c5d3562d8e6794ce52393b1e9827ad11b304b01b8c542e6",
         ),
+        (
+            ("classes", "gl3_f2"),
+            "0415ca27ef93ab8fbaab55968bf014b5fba6e9a6413fbf24cde8202ce4ee4644",
+        ),
+        (
+            ("classes", "s4"),
+            "2cc5926ff68cd29b2ef2027456c12efb16a1ffa2e7ca5e16ca998196f798ff4b",
+        ),
+        (
+            ("branching", "gl3_f2"),
+            "316052490a70a756af0971e24e90570f7c14c3c26f2505d43739759d2e505fc9",
+        ),
+        (
+            ("branching", "gl3_f2", "--format", "json"),
+            "f22c0d5a3251e478cbefdbfc628bebf24e4710b4704cfd196ca96df5759d4b28",
+        ),
     ],
 )
 def test_stdout_golden_digest(capsys, argv, digest):
     # stdout digests pinned before `symbolic` and `ratio` moved onto library
-    # results, and before `cpd --oracle` took every row from one oracle pass;
-    # the bytes must not change
+    # results, before `cpd --oracle` took every row from one oracle pass, and
+    # before `classes` and `branching` dropped their re-derived centralizers
+    # and matrix labels; the bytes must not change
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -239,6 +256,27 @@ def test_out_of_range_arguments_exit_2_with_one_error_line(capsys, argv, flag):
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and flag in errors[0]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "case", ["directory_as_spec", "undecodable_spec", "output_in_missing_directory"]
+)
+def test_unreadable_input_and_unwritable_output_exit_2(tmp_path, capsys, case):
+    undecodable = tmp_path / "utf16.json"
+    undecodable.write_bytes(b"\xff\xfe{\x00}\x00")
+    argv, message = {
+        "directory_as_spec": (("cpd", str(tmp_path), "--d", "1"), "cannot read"),
+        "undecodable_spec": (("cpd", str(undecodable), "--d", "1"), "cannot read"),
+        "output_in_missing_directory": (
+            ("cpd", "s3", "--d", "2", "--output", str(tmp_path / "missing" / "out.csv")),
+            "cannot write",
+        ),
+    }[case]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in err
 
 
 def test_smallest_accepted_arguments(capsys):

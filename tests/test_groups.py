@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from commprob import groups as groups_module
+from commprob.counting import family_order
 from commprob.errors import CapExceededError, MixedCarriersError
 from commprob.fields import field_create
 from commprob.groups import (
@@ -94,6 +96,21 @@ def test_singular_matrix_rejected():
     f3 = field_create(3, 1)
     with pytest.raises(ValueError):
         matrix_element(f3, [[1, 2], [2, 1]])  # det = 1 - 4 = 0 mod 3
+
+
+@pytest.mark.parametrize("n,p,modulus", [(2, 2, [1, 1, 1]), (2, 5, None), (3, 2, None)])
+def test_matrix_element_accepts_exactly_gl(n, p, modulus):
+    # every n x n matrix over F_q: the accepted ones are GL_n(F_q)
+    field = field_create(p, 1 if modulus is None else len(modulus) - 1, modulus)
+    accepted = 0
+    for cells in itertools.product(range(field.order), repeat=n * n):
+        rows = [cells[i * n : (i + 1) * n] for i in range(n)]
+        try:
+            matrix_element(field, rows)
+        except ValueError:
+            continue
+        accepted += 1
+    assert accepted == family_order("GL", n, field.order)
 
 
 def test_bad_permutation_rejected():

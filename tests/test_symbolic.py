@@ -16,10 +16,8 @@ from commprob.symbolic import (
     degree_window,
     degree_windows,
     diagonal_degree_interval,
-    export_grid,
     first_column_degree,
     fixture,
-    import_grid,
     max_entry_degree,
     maxplus_walk,
     psi_matrix_from_exponents,
@@ -372,25 +370,3 @@ def test_gl4_abelian_columns_power_like_scalars():
         for tau in range(matrix.size):
             if matrix.abelian[tau]:
                 assert power[tau][tau] == PsiPoly.monomial(d * grid[tau][tau])
-
-
-# --- exponent grid round trips ----------------------------------------------
-
-
-def test_grid_round_trip_bit_exact():
-    for name in ("gl2", "gl3", "gl4"):
-        matrix = fixture(name)
-        text = export_grid(matrix)
-        again = import_grid(text)
-        assert again == matrix
-        assert export_grid(again) == text
-
-
-def test_grid_import_accepts_blank_cells():
-    text = (
-        "name tiny\ngroup_dim 4\nrank 2\ncenter_dim 1\n"
-        "depths 1 1\nabelian 0 1\ngrid\n1,\n1,2\n"
-    )
-    matrix = import_grid(text)
-    assert matrix.exponent_grid() == [[1, -1], [1, 2]]
-    assert import_grid(export_grid(matrix)) == matrix
