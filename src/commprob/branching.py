@@ -22,6 +22,7 @@ from .conjugacy import centralizer, commuting_tuple, conjugacy_classes, subgroup
 from .errors import UnknownTypeError
 from .groups import FiniteGroup, Subgroup
 from .report import CheckResult, StructureReport
+from .symbolic import exact_power, exact_walk
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,8 @@ def tuple_z_type(group: FiniteGroup, tup, registry: TypeRegistry) -> int:
 class BranchingMatrix:
     """Square non-negative integer matrix over tuple types.
 
-    Row and column i belong to type i of the group's registry.
+    Row and column i belong to type i of the group's registry.  Powers and
+    walks run on the exact matrix kernel of `symbolic` over ints.
     """
 
     def __init__(self, entries):
@@ -126,27 +128,11 @@ class BranchingMatrix:
 
     def power(self, d: int) -> tuple[tuple[int, ...], ...]:
         """Plain d-th matrix power (d >= 0) as tuples."""
-        n = self.size
-        result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        base = [list(row) for row in self.entries]
-        e = d
-        while e:
-            if e & 1:
-                result = _int_matmul(result, base)
-            e >>= 1
-            if e:
-                base = _int_matmul(base, base)
-        return tuple(tuple(row) for row in result)
+        return exact_power(self.entries, d, 0, 1)
 
     def first_column_sums(self, dmax: int) -> list[int]:
         """[1 . B^d . e_0, for d = 0..dmax], e_0 the column of type 0."""
-        n = self.size
-        v = [1] + [0] * (n - 1)
-        sums = [1]
-        for _ in range(dmax):
-            v = [sum(self.entries[i][k] * v[k] for k in range(n) if v[k]) for i in range(n)]
-            sums.append(sum(v))
-        return sums
+        return [1] + [sum(v) for v in exact_walk(self.entries, 0, dmax, 0, 1)]
 
     def max_entry(self) -> int:
         return max(max(row) for row in self.entries)
@@ -156,12 +142,6 @@ class BranchingMatrix:
 
     def __repr__(self) -> str:
         return f"BranchingMatrix(size={self.size})"
-
-
-def _int_matmul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col) if x) for col in bt] for row in a]
 
 
 def branching_matrix(group: FiniteGroup) -> tuple[BranchingMatrix, TypeRegistry]:

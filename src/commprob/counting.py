@@ -29,14 +29,13 @@ from .groups import FiniteGroup, Subgroup
 
 def class_count(group: FiniteGroup, d: int) -> int:
     """Number of simultaneous conjugacy classes of commuting d-tuples."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    matrix, _ = branching_matrix(group)
-    return matrix.first_column_sums(d)[d]
+    return class_count_sequence(group, d)[d]
 
 
 def class_count_sequence(group: FiniteGroup, dmax: int) -> list[int]:
     """[c(0), c(1), ..., c(dmax)] in one pass."""
+    if dmax < 0:
+        raise ValueError("d must be >= 0")
     matrix, _ = branching_matrix(group)
     return matrix.first_column_sums(dmax)
 

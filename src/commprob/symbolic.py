@@ -1,21 +1,23 @@
 """Symbolic branching matrices with monomial entries and their degree calculus.
 
 For reductive algebraic groups the branching-matrix entries are monomials
-psi^k recording dimension differences, so entries of powers are polynomials
-with non-negative integer coefficients.  Because nothing can cancel, the
-degree of an entry of B^d is the weight of the heaviest length-d walk in
-the exponent grid.  One integer max-plus kernel, `maxplus_walk`, computes
-every such degree here, so degrees at d = 10**6 are as cheap as at d = 3.
-It follows the `exponent_grid` convention: -1 marks a zero entry of the
-grid and an entry not reached by the walk.
+psi^k recording dimension differences, so a `PsiMatrix` stores only its
+exponent grid: k for psi^k, -1 for a zero entry.  Entries of powers are
+polynomials with non-negative integer coefficients.  Because nothing can
+cancel, the degree of an entry of B^d is the weight of the heaviest
+length-d walk in the grid.  One integer max-plus kernel, `maxplus_walk`,
+computes every such degree here, so degrees at d = 10**6 are as cheap as at
+d = 3; -1 in a walk marks an entry not reached.
 
-Each exactness claim keeps an independent check by PsiPoly arithmetic
-(`psi_walk`, `psi_power`).  In the library, `first_column_degree` and
-`degree_windows` compare every degree they report for d <= 24 with the
-exact polynomial walk and raise on a disagreement.  The tier-1 tests
-compare `diagonal_degree_interval` with the exact symbolised power on every
-case of their random suites, and the kernel walked from every start column
-with exact powers.
+One exact kernel, `exact_walk` and `exact_power`, multiplies matrices over
+any entries with `+` and `*`: ints for the finite branching matrices, and
+PsiPoly (`psi_walk`, `psi_power`) for the independent check of every
+exactness claim here.  `first_column_degree` and `degree_windows` compare
+every degree they report for d <= 24 with the exact polynomial walk and
+raise on a disagreement.  The tier-1 tests compare
+`diagonal_degree_interval` with the exact symbolised power on every case of
+their random suites, and the max-plus and exact walks from every start
+column with exact powers.
 
 All values here are immutable and operations pure.
 """
@@ -57,12 +59,6 @@ class PsiPoly:
     def degree(self):
         """Largest exponent, or NEG_INF for the zero polynomial."""
         return max(self.coeffs) if self.coeffs else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -107,9 +103,14 @@ class PsiPoly:
         return " + ".join(terms)
 
 
+def _monomial(exponent: int) -> PsiPoly:
+    return PsiPoly.monomial(exponent) if exponent >= 0 else PsiPoly.zero()
+
+
 @dataclass(frozen=True)
 class PsiMatrix:
-    """Square matrix of monomials psi^k (or zero) with group metadata.
+    """Square matrix of monomials psi^k (or zero) with group metadata,
+    stored as its exponent grid: grid[i][j] is k for psi^k, -1 for zero.
 
     group_dim is the dimension of the group, rank its reductive rank,
     center_dim the dimension of the centre; depths and abelian flags label
@@ -118,7 +119,7 @@ class PsiMatrix:
     """
 
     name: str
-    entries: tuple[tuple[PsiPoly, ...], ...]
+    grid: tuple[tuple[int, ...], ...]
     group_dim: int
     rank: int
     center_dim: int = 1
@@ -127,18 +128,20 @@ class PsiMatrix:
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.grid)
 
     @property
     def alpha(self) -> int:
         return max_entry_degree(self)
 
+    @property
+    def entries(self) -> tuple[tuple[PsiPoly, ...], ...]:
+        """The entries as PsiPoly monomials, built afresh for the exact checks."""
+        return tuple(tuple(_monomial(e) for e in row) for row in self.grid)
+
     def exponent_grid(self) -> list[list[int]]:
-        """Entry degrees with -1 standing for zero entries."""
-        return [
-            [int(e.degree) if e else -1 for e in row]
-            for row in self.entries
-        ]
+        """A fresh copy of the grid, -1 standing for zero entries."""
+        return [list(row) for row in self.grid]
 
 
 def psi_matrix_from_exponents(
@@ -151,14 +154,7 @@ def psi_matrix_from_exponents(
     abelian=None,
 ) -> PsiMatrix:
     """Build a PsiMatrix from an exponent grid; -1 (or None) marks zeros."""
-    rows = []
-    for row in grid:
-        rows.append(
-            tuple(
-                PsiPoly.zero() if e is None or e < 0 else PsiPoly.monomial(int(e))
-                for e in row
-            )
-        )
+    rows = tuple(tuple(-1 if e is None or e < 0 else int(e) for e in row) for row in grid)
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise ValueError("exponent grid must be square")
@@ -210,7 +206,7 @@ _GL4_GRID = [
     [-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 4, 4, 3, 3, 5],
 ]
 
-_FIXTURES = {
+_FIXTURE_SPECS = {
     "gl2": dict(
         grid=_GL2_GRID,
         group_dim=4,
@@ -235,20 +231,15 @@ _FIXTURES = {
 }
 
 
+_FIXTURES = {key: psi_matrix_from_exponents(key, **spec) for key, spec in _FIXTURE_SPECS.items()}
+
+
 def fixture(name: str) -> PsiMatrix:
     """Bundled symbolic branching matrix: gl2, gl3 or gl4."""
     key = name.lower()
     if key not in _FIXTURES:
         raise UnknownFixtureError(f"unknown fixture {name!r}; have {sorted(_FIXTURES)}")
-    spec = _FIXTURES[key]
-    return psi_matrix_from_exponents(
-        key,
-        spec["grid"],
-        group_dim=spec["group_dim"],
-        rank=spec["rank"],
-        depths=spec["depths"],
-        abelian=spec["abelian"],
-    )
+    return _FIXTURES[key]
 
 
 def fixture_names() -> list[str]:
@@ -256,9 +247,46 @@ def fixture_names() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# max-plus (tropical) degree calculus and its exact cross-check
+# the exact matrix kernel, the max-plus (tropical) degree calculus and its check
 
 EXACT_CHECK_DMAX = 24
+
+
+def exact_walk(matrix, start: int, steps: int, zero, one):
+    """Yield the columns B^t e_start for t = 1..steps, exactly.
+
+    B is a square matrix over entries with `+` and `*`, zero and one given,
+    in which exactly the zero entries are false.  Zero entries of B and of
+    the current column are skipped; only the current column is held.
+    """
+    edges = [[(k, x) for k, x in enumerate(row) if x] for row in matrix]
+    v = [zero] * len(matrix)
+    v[start] = one
+    for _ in range(steps):
+        v = [sum((v[k] * x for k, x in row if v[k]), zero) for row in edges]
+        yield v
+
+
+def exact_power(matrix, d: int, zero, one):
+    """B^d (d >= 0) by repeated squaring, over entries as for `exact_walk`."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
+
+    def times(a, b):
+        rows = [[(k, x) for k, x in enumerate(row) if x] for row in a]
+        cols = list(zip(*b))
+        return [[sum((x * col[k] for k, x in row if col[k]), zero) for col in cols] for row in rows]
+
+    n = len(matrix)
+    result = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    base = matrix
+    while d:
+        if d & 1:
+            result = times(result, base)
+        d >>= 1
+        if d:
+            base = times(base, base)
+    return tuple(tuple(row) for row in result)
 
 
 def maxplus_walk(grid, start: int, steps: int):
@@ -280,46 +308,19 @@ def maxplus_walk(grid, start: int, steps: int):
 def psi_walk(entries, start: int, steps: int):
     """Exact counterpart of maxplus_walk on PsiPoly entries: yields the
     columns B^t e_start for t = 1..steps."""
-    m = len(entries)
-    v = [PsiPoly.zero()] * m
-    v[start] = PsiPoly.monomial(0)
-    for _ in range(steps):
-        v = [
-            sum((row[k] * v[k] for k in range(m) if v[k] and row[k]), PsiPoly.zero())
-            for row in entries
-        ]
-        yield v
+    return exact_walk(entries, start, steps, PsiPoly.zero(), PsiPoly.monomial(0))
 
 
 def tropical_first_column_degrees(matrix: PsiMatrix, dmax: int) -> list[int]:
     """[deg(1 . B^d . e1) for d = 1..dmax], -1 where the column vanished."""
-    return [max(v) for v in maxplus_walk(matrix.exponent_grid(), 0, dmax)]
-
-
-def _psi_matmul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = a[i]
-        new_row = []
-        for j in range(n):
-            acc = PsiPoly.zero()
-            for k in range(n):
-                if row[k] and b[k][j]:
-                    acc = acc + row[k] * b[k][j]
-            new_row.append(acc)
-        out.append(tuple(new_row))
-    return tuple(out)
+    return [max(v) for v in maxplus_walk(matrix.grid, 0, dmax)]
 
 
 def psi_power(matrix: PsiMatrix, d: int):
     """Exact d-th power of the entries, for validating the degree calculus."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    result = matrix.entries
-    for _ in range(d - 1):
-        result = _psi_matmul(result, matrix.entries)
-    return result
+    return exact_power(matrix.entries, d, PsiPoly.zero(), PsiPoly.monomial(0))
 
 
 def _exact_first_column_degree(matrix: PsiMatrix, dmax: int) -> list[int]:
@@ -360,10 +361,10 @@ def first_column_degree(matrix: PsiMatrix, d: int) -> int:
 
 
 def max_entry_degree(matrix: PsiMatrix) -> int:
-    best = max(e.degree for row in matrix.entries for e in row)
-    if best == NEG_INF:
+    best = max((e for row in matrix.grid for e in row), default=-1)
+    if best < 0:
         raise ValueError("matrix has no nonzero entry")
-    return int(best)
+    return best
 
 
 @dataclass(frozen=True)
@@ -488,41 +489,29 @@ def verify_symbolic_structure(matrix: PsiMatrix) -> StructureReport:
     size with the maximal degree realised on an abelian diagonal entry.
     """
     checks = []
-    entries = matrix.entries
+    grid = matrix.grid
     size = matrix.size
     if len(matrix.depths) != size or len(matrix.abelian) != size:
         raise PreconditionError("depth/abelian metadata must label every row")
 
-    corner = entries[0][0]
-    ok = corner.is_monomial() and corner.degree == matrix.center_dim
-    checks.append(CheckResult("corner_is_center_dim", ok, "" if ok else repr(corner)))
+    corner = grid[0][0]
+    ok = corner >= 0 and corner == matrix.center_dim
+    checks.append(CheckResult("corner_is_center_dim", ok, "" if ok else repr(_monomial(corner))))
 
-    bad = [
-        (i, i)
-        for i in range(size)
-        if not (entries[i][i].is_monomial())
-    ]
+    bad = [(i, i) for i in range(size) if grid[i][i] < 0]
     checks.append(CheckResult("diagonal_monomials", not bad, f"{bad}" if bad else ""))
 
-    bad = [
-        i
-        for i in range(size)
-        if (not entries[i][0].is_zero()) != (matrix.depths[i] == 1)
-    ]
+    bad = [i for i in range(size) if (grid[i][0] >= 0) != (matrix.depths[i] == 1)]
     checks.append(
         CheckResult("first_column_is_depth_one", not bad, f"rows {bad}" if bad else "")
     )
 
-    bad = [j for j in range(1, size) if not entries[0][j].is_zero()]
+    bad = [j for j in range(1, size) if grid[0][j] >= 0]
     checks.append(
         CheckResult("first_row_zero_after_corner", not bad, f"columns {bad}" if bad else "")
     )
 
-    bad = [
-        i
-        for i in range(1, size)
-        if not any(not entries[i][j].is_zero() for j in range(i))
-    ]
+    bad = [i for i in range(1, size) if not any(grid[i][j] >= 0 for j in range(i))]
     checks.append(
         CheckResult("prediagonal_entry_every_row", not bad, f"rows {bad}" if bad else "")
     )
@@ -531,21 +520,21 @@ def verify_symbolic_structure(matrix: PsiMatrix) -> StructureReport:
     for j in range(size):
         if not matrix.abelian[j]:
             continue
-        nonzero = [i for i in range(size) if not entries[i][j].is_zero()]
+        nonzero = [i for i in range(size) if grid[i][j] >= 0]
         if nonzero != [j]:
             ok, detail = False, f"abelian column {j} supported on rows {nonzero}"
             break
     checks.append(CheckResult("abelian_columns_diagonal_only", ok, detail))
 
-    alpha = max_entry_degree(matrix)
-    diag_max = max(int(entries[i][i].degree) for i in range(size) if matrix.abelian[i])
-    ok = alpha == diag_max
-    checks.append(
-        CheckResult(
-            "max_degree_on_abelian_diagonal",
-            ok,
-            "" if ok else f"alpha={alpha}, abelian diagonal max={diag_max}",
-        )
-    )
+    alpha = max((e for row in grid for e in row), default=-1)
+    diag_max = max((grid[i][i] for i in range(size) if matrix.abelian[i]), default=-1)
+    if alpha < 0:
+        detail = "matrix has no nonzero entry"
+    elif not any(matrix.abelian):
+        detail = f"alpha={alpha}, no abelian type"
+    elif alpha != diag_max:
+        detail = f"alpha={alpha}, abelian diagonal max={diag_max}"
+    else:
+        detail = ""
+    checks.append(CheckResult("max_degree_on_abelian_diagonal", not detail, detail))
     return StructureReport(tuple(checks))
-

@@ -1,6 +1,7 @@
 """The benchmark's tracer (`bench/tracing.py`) patches library functions and
 methods by name.  A library rename or deletion must fail here rather than
-only when `bench/run.py --trace 1` runs."""
+only when `bench/run.py --trace 1` runs, and so must a library path that
+stops calling a timed name, whose span would then silently read 0."""
 
 import importlib
 from pathlib import Path
@@ -30,3 +31,17 @@ def test_every_name_the_tracer_patches_exists(monkeypatch):
     ]
     missing += [f"{cls.__name__}.{attr}" for cls, attr in methods if attr not in cls.__dict__]
     assert missing == []
+
+
+def test_degree_window_calls_the_names_the_tracer_times(monkeypatch):
+    calls = {"tropical_first_column_degrees": 0, "_exact_first_column_degree": 0}
+    for attr in calls:
+        original = getattr(symbolic, attr)
+
+        def counted(*args, _attr=attr, _original=original):
+            calls[_attr] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(symbolic, attr, counted)
+    symbolic.degree_window(symbolic.fixture("gl4"), 12)
+    assert calls == {"tropical_first_column_degrees": 1, "_exact_first_column_degree": 1}

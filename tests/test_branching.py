@@ -1,7 +1,10 @@
+import pytest
+
 from commprob.branching import BranchingMatrix, branching_matrix, verify_structure
 from commprob.conjugacy import conjugacy_classes
 from commprob.counting import class_count_sequence
 from commprob.groups import center, group_generate, permutation_element
+from commprob.symbolic import exact_walk
 
 
 def test_s3_matrix_exact(corpus):
@@ -89,6 +92,19 @@ def test_type_column_walk_counts_classes_of_its_centralizer(corpus):
                 walk.append(sum(v))
             assert walk == class_count_sequence(h, 6), (name, tid)
             assert walk == [sums[d][tid] for d in range(7)], (name, tid)
+
+
+def test_exact_walk_from_every_column_matches_power(corpus):
+    for name, group in corpus.items():
+        matrix, _ = branching_matrix(group)
+        n = matrix.size
+        powers = [matrix.power(d) for d in range(9)]
+        assert powers[0] == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        with pytest.raises(ValueError):
+            matrix.power(-1)  # halving a negative exponent never reaches 0
+        for j in range(n):
+            walk = [[int(i == j) for i in range(n)]] + list(exact_walk(matrix.entries, j, 8, 0, 1))
+            assert walk == [[row[j] for row in power] for power in powers], (name, j)
 
 
 def test_registry_invariants(corpus):

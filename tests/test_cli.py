@@ -224,13 +224,22 @@ def test_determinism_across_processes_and_hash_seeds():
             ("branching", "gl3_f2", "--format", "json"),
             "f22c0d5a3251e478cbefdbfc628bebf24e4710b4704cfd196ca96df5759d4b28",
         ),
+        (
+            ("cpd", "gl2_f3", "--d", "30"),
+            "18645b1f201b4db96836addfebb52f3110772f28c846c32f50274bb2ba9e07ed",
+        ),
+        (
+            ("ratio", "gl3_f2", "--dmax", "200"),
+            "69e0137f70174e8b2207930c8312fbff53c6378ae471b2c804414cc83dffbedc",
+        ),
     ],
 )
 def test_stdout_golden_digest(capsys, argv, digest):
     # stdout digests pinned before `symbolic` and `ratio` moved onto library
     # results, before `cpd --oracle` took every row from one oracle pass, and
     # before `classes` and `branching` dropped their re-derived centralizers
-    # and matrix labels; the bytes must not change
+    # and matrix labels, and before the integer and polynomial matrix
+    # arithmetic moved onto one exact kernel; the bytes must not change
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

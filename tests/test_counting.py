@@ -37,6 +37,12 @@ def test_class_count_small_values(corpus):
     assert class_count(s3, 2) == 8
 
 
+def test_negative_d_is_refused_by_count_and_sequence(corpus):
+    for count in (class_count, class_count_sequence):
+        with pytest.raises(ValueError, match="d must be >= 0"):
+            count(corpus["s3"], -1)
+
+
 def test_q8_closed_form(corpus):
     # solving the Q8 recurrence gives c(d) = (3/2) 4^d - 2^(d-1)
     q8 = corpus["q8"]

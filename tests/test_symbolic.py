@@ -115,10 +115,43 @@ def test_unknown_fixture():
         fixture("gl5")
 
 
+FIXTURE_SUMMARY = (
+    "corner_is_center_dim=pass; diagonal_monomials=pass; first_column_is_depth_one=pass; "
+    "first_row_zero_after_corner=pass; prediagonal_entry_every_row=pass; "
+    "abelian_columns_diagonal_only=pass; max_degree_on_abelian_diagonal=pass"
+)
+FIXTURE_SUMMARY_NAMES = [part.split("=")[0] for part in FIXTURE_SUMMARY.split("; ")]
+
+
 def test_structure_checks_pass_on_fixtures():
     for name in ("gl2", "gl3", "gl4"):
         report = verify_symbolic_structure(fixture(name))
         assert report.ok, (name, report.summary())
+        assert report.summary() == FIXTURE_SUMMARY, name
+
+
+@pytest.mark.parametrize(
+    "grid,detail",
+    [
+        ([[1, -1], [1, 2]], "alpha=2, no abelian type"),
+        ([[-1, -1], [-1, -1]], "matrix has no nonzero entry"),
+    ],
+)
+def test_structure_check_reports_unplaceable_alpha(grid, detail):
+    report = verify_symbolic_structure(psi_matrix_from_exponents("t", grid, 4, 2))
+    assert [c.name for c in report.checks] == FIXTURE_SUMMARY_NAMES
+    last = report.checks[-1]
+    assert (last.name, last.passed, last.detail) == ("max_degree_on_abelian_diagonal", False, detail)
+
+
+def test_fixtures_are_shared_and_their_grids_copied():
+    for name in ("gl2", "gl3", "gl4"):
+        assert fixture(name) is fixture(name)
+    grid = fixture("gl2").exponent_grid()
+    grid[0][0] = 7
+    grid[2].append(3)
+    assert fixture("gl2").exponent_grid() == parse_rows(GL2_ROWS)
+    assert fixture("gl2").entries[0][0] == PsiPoly.monomial(1)
 
 
 def test_structure_check_catches_tampering():
@@ -194,13 +227,13 @@ def test_tropical_polynomial_agreement_entrywise():
     for name in ("gl2", "gl3", "gl4"):
         matrix = fixture(name)
         grid = matrix.exponent_grid()
+        powers = {d: psi_power(matrix, d) for d in range(1, 7)}
         for j in range(matrix.size):
             walks = zip(maxplus_walk(grid, j, 20), psi_walk(matrix.entries, j, 20))
             for d, (trop, exact) in enumerate(walks, start=1):
                 assert trop == exact_degrees(exact), (name, j, d)
-                if d == 4:
-                    power = psi_power(matrix, 4)
-                    assert exact == [power[i][j] for i in range(matrix.size)], (name, j)
+                if d in powers:
+                    assert exact == [row[j] for row in powers[d]], (name, j, d)
 
 
 def test_cross_check_built_into_first_column_degree(monkeypatch):
