@@ -42,21 +42,18 @@ class TypeRegistry:
     anything but the stored centralizers.  This is the one mutable container
     in the package: registrations must be serialized by the caller.
 
-    Types sit in buckets keyed by the multiset of G-class ids of their
-    centralizer's members, and a lookup runs the transporter search only
-    against the types in its subgroup's bucket.  Conjugation maps each
-    member to a member of the same G-class, so conjugate subgroups share a
-    key.  Registered types are pairwise non-conjugate, so at most one type
-    matches a subgroup, and it is in that bucket: the bucket cannot change
-    the type id a lookup returns, only the number of searches it runs.
+    Types sit in buckets keyed by their centralizer's `fingerprint`, the
+    multiset of G-class ids of its members, and a lookup runs the
+    transporter search only against the types in its subgroup's bucket.
+    Conjugation maps each member to a member of the same G-class, so
+    conjugate subgroups share a key.  Registered types are pairwise
+    non-conjugate, so at most one type matches a subgroup, and it is in
+    that bucket: the bucket cannot change the type id a lookup returns,
+    only the number of searches it runs.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self._class_of = [0] * group.order
-        for cid, cls in enumerate(conjugacy_classes(group).classes):
-            for m in cls.members:
-                self._class_of[m] = cid
         self.types: list[TypeEntry] = []
         self._buckets: dict[tuple, list[int]] = {}
         self._register(Subgroup.whole(group), (0,))
@@ -69,17 +66,8 @@ class TypeRegistry:
             raise UnknownTypeError(f"type {type_id} not registered (have {len(self.types)})")
         return self.types[type_id]
 
-    def bucket_key(self, subgroup: Subgroup) -> tuple[tuple[int, int], ...]:
-        """Sorted (G-class id, member count) pairs; equal for conjugate subgroups."""
-        counts: dict[int, int] = {}
-        class_of = self._class_of
-        for m in subgroup.members:
-            c = class_of[m]
-            counts[c] = counts.get(c, 0) + 1
-        return tuple(sorted(counts.items()))
-
     def lookup(self, subgroup: Subgroup) -> int | None:
-        for tid in self._buckets.get(self.bucket_key(subgroup), ()):
+        for tid in self._buckets.get(subgroup.fingerprint, ()):
             if subgroup_conjugate(self.group, self.types[tid].centralizer, subgroup) is not None:
                 return tid
         return None
@@ -87,7 +75,7 @@ class TypeRegistry:
     def _register(self, subgroup: Subgroup, representative: tuple[int, ...]) -> int:
         tid = len(self.types)
         self.types.append(TypeEntry(representative, subgroup, len(representative)))
-        self._buckets.setdefault(self.bucket_key(subgroup), []).append(tid)
+        self._buckets.setdefault(subgroup.fingerprint, []).append(tid)
         return tid
 
     def lookup_or_register(self, subgroup: Subgroup, representative: tuple[int, ...]) -> tuple[int, bool]:

@@ -167,13 +167,11 @@ def subgroup_conjugate(
 ) -> int | None:
     """Return the first candidate g with g*A*g^-1 = B, or None.
 
-    Exhaustive transporter search over the whole group (or the given
-    candidate iterable), short-circuited by order and by the element-order
-    multiset fingerprint.  A candidate is tested on A's generators only.
+    Exhaustive search over the whole group (or the given candidates in it),
+    run only when the orders and the G-class multisets (`fingerprint`)
+    agree.  A candidate is tested on A's generators only.
     """
-    if a.order != b.order:
-        return None
-    if a.fingerprint != b.fingerprint:
+    if a.order != b.order or a.fingerprint != b.fingerprint:
         return None
     candidates = transporter if transporter is not None else range(group.order)
     mul, inv = group.mul, group.inv

@@ -5,8 +5,8 @@ for matrices, image arrays for permutations.  A carrier object supplies the
 multiplication, inversion and canonical byte encoding for one kind of
 element, so two elements are equal exactly when their carriers and data
 agree.  All containers here are immutable after construction; only cached
-derived data (product words, inverses, element orders, classes) is filled
-in lazily.
+derived data (product words, inverses, classes and each element's class
+id, subgroup fingerprints) is filled in lazily.
 
 Generator closure records, for each seed s (a generator or the inverse of
 one), its left action on the element indices: act_s[x] = index(s * e_x).
@@ -32,6 +32,7 @@ greedily over their sorted members.  Closures grow coset by coset
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ElementNotInGroupError, MixedCarriersError
@@ -196,9 +197,9 @@ class FiniteGroup:
         self.name = name
         self._words = None
         self._inv_table = None
-        self._orders = None
         self._whole = None
         self._classes = None
+        self._class_of = None
         self._branching = None
 
     @property
@@ -283,17 +284,6 @@ class FiniteGroup:
 
     def encode(self, i: int) -> bytes:
         return self.carrier.encode(self.elements[i])
-
-    def element_order(self, i: int) -> int:
-        if self._orders is None:
-            self._orders = [0] * self.order
-        if self._orders[i] == 0:
-            x, n = i, 1
-            while x != 0:
-                x = self.mul(x, i)
-                n += 1
-            self._orders[i] = n
-        return self._orders[i]
 
     @property
     def is_abelian(self) -> bool:
@@ -429,14 +419,25 @@ class Subgroup:
         return self._is_abelian
 
     @property
-    def fingerprint(self) -> tuple:
-        """Conjugation-invariant (order, element-order multiset) filter."""
+    def fingerprint(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (G-class id, member count) pairs of the members.
+
+        Conjugation by any element of G keeps each member in its G-class,
+        so conjugate subgroups share a fingerprint; one class shares one
+        element order, so it also fixes the order and the element orders.
+        Class ids come from the whole group's cached partition.
+        """
         if self._fingerprint is None:
-            counts: dict[int, int] = {}
-            for m in self.members:
-                o = self.group.element_order(m)
-                counts[o] = counts.get(o, 0) + 1
-            self._fingerprint = (self.order, tuple(sorted(counts.items())))
+            group, class_of = self.group, self.group._class_of
+            if class_of is None:
+                from .conjugacy import conjugacy_classes  # conjugacy imports this module
+                class_of = [0] * group.order
+                for cid, cls in enumerate(conjugacy_classes(group).classes):
+                    for m in cls.members:
+                        class_of[m] = cid
+                group._class_of = class_of
+            counts = Counter(map(class_of.__getitem__, self.members))
+            self._fingerprint = tuple(sorted(counts.items()))
         return self._fingerprint
 
     def is_subgroup(self) -> bool:

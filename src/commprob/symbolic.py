@@ -156,6 +156,8 @@ def psi_matrix_from_exponents(
     """Build a PsiMatrix from an exponent grid; -1 (or None) marks zeros."""
     rows = tuple(tuple(-1 if e is None or e < 0 else int(e) for e in row) for row in grid)
     size = len(rows)
+    if size == 0:
+        raise ValueError("exponent grid must not be empty")
     if any(len(r) != size for r in rows):
         raise ValueError("exponent grid must be square")
     return PsiMatrix(

@@ -96,6 +96,13 @@ def large_groups():
     }
 
 
+def recording(candidates, tried):
+    """Yield the candidates, appending each to `tried` as it is taken."""
+    for g in candidates:
+        tried.append(g)
+        yield g
+
+
 def subgroup_closure(group, seed):
     """Member set of the subgroup generated by `seed` (plus identity)."""
     members = {0} | {int(x) for x in seed}

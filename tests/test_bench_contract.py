@@ -6,7 +6,9 @@ stops calling a timed name, whose span would then silently read 0."""
 import importlib
 from pathlib import Path
 
-from commprob import branching, fields, groups, symbolic
+from commprob import branching, conjugacy, fields, groups, symbolic
+
+from conftest import recording
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -45,3 +47,19 @@ def test_degree_window_calls_the_names_the_tracer_times(monkeypatch):
         monkeypatch.setattr(symbolic, attr, counted)
     symbolic.degree_window(symbolic.fixture("gl4"), 12)
     assert calls == {"tropical_first_column_degrees": 1, "_exact_first_column_degree": 1}
+
+
+def test_transporter_search_is_skipped_exactly_when_the_tracer_says(corpus):
+    # the tracer counts no transporter candidates when order or fingerprint
+    # differ, and assumes the library tries at least one otherwise
+    for name in ("s4", "gl2_f3", "gl3_f2"):
+        group = corpus[name]
+        _, registry = branching.branching_matrix(group)
+        cents = [entry.centralizer for entry in registry.types]
+        for a in cents:
+            for b in cents:
+                tried = []
+                candidates = recording(range(group.order), tried)
+                conjugacy.subgroup_conjugate(group, a, b, transporter=candidates)
+                skipped = a.order != b.order or a.fingerprint != b.fingerprint
+                assert (tried == []) == skipped, (name, a, b)

@@ -23,11 +23,12 @@ from commprob.groups import (
 )
 from commprob.groupspec import corpus_group, corpus_spec
 
-from conftest import subgroup_closure, symmetric_group
+from conftest import recording, subgroup_closure, symmetric_group
 
 
-def find_element(group, predicate):
-    return next(i for i in range(group.order) if predicate(i))
+def element_of_order(group, n):
+    """The least element index generating a cyclic subgroup of order n."""
+    return next(i for i in range(group.order) if len(subgroup_closure(group, [i])) == n)
 
 
 def test_centralizer_of_identity_is_group(corpus):
@@ -38,7 +39,7 @@ def test_centralizer_of_identity_is_group(corpus):
 
 def test_centralizer_of_transposition(corpus):
     g = corpus["s3"]
-    t = find_element(g, lambda i: g.element_order(i) == 2)
+    t = element_of_order(g, 2)
     cent = centralizer(g, (t,))
     assert cent.order == 2
     assert cent.is_subgroup()
@@ -113,15 +114,24 @@ def test_subgroup_conjugate_q8_normal_subgroups(corpus):
 
 def test_subgroup_conjugate_s3_transposition_subgroups(corpus):
     g = corpus["s3"]
-    two_subgroups = [
-        Subgroup(g, subgroup_closure(g, [t]))
-        for t in range(g.order)
-        if g.element_order(t) == 2
-    ]
+    cyclic = [Subgroup(g, subgroup_closure(g, [t])) for t in range(g.order)]
+    two_subgroups = [sub for sub in cyclic if sub.order == 2]
     witness = subgroup_conjugate(g, two_subgroups[0], two_subgroups[1])
     assert witness is not None
     conjugated = frozenset(g.conj(witness, x) for x in two_subgroups[0].members)
     assert conjugated == two_subgroups[1].member_set
+
+
+def test_transporter_search_skips_subgroups_in_different_classes(corpus):
+    # <(1 2)> and <(1 2)(3 4)> have the same element orders, but their
+    # involutions lie in different G-classes, so no candidate is tried
+    g = corpus["s4"]
+    t = g.element_index(permutation_element([1, 0, 2, 3]))
+    v = g.element_index(permutation_element([1, 0, 3, 2]))
+    a, b = Subgroup(g, [0, t]), Subgroup(g, [0, v])
+    tried = []
+    assert subgroup_conjugate(g, a, b, transporter=recording(range(g.order), tried)) is None
+    assert tried == []
 
 
 def test_subgroup_conjugacy_is_equivalence(corpus):
@@ -166,15 +176,11 @@ def test_z_classes_q8(corpus):
 
 def test_z_classes_of_abelian_subgroup(corpus):
     g = corpus["s4"]
-    cyclic4 = Subgroup(g, subgroup_closure(g, [find_4cycle(g)]))
+    cyclic4 = Subgroup(g, subgroup_closure(g, [element_of_order(g, 4)]))
     zcs = z_classes(g, cyclic4)
     assert len(zcs) == 1
     assert len(zcs[0].class_ids) == cyclic4.order  # singleton classes
     assert zcs[0].centralizer == cyclic4
-
-
-def find_4cycle(group):
-    return next(i for i in range(group.order) if group.element_order(i) == 4)
 
 
 def test_z_class_sizes_equal_and_cover(corpus):
@@ -207,8 +213,8 @@ def test_z_class_membership_has_witness(corpus):
 
 def test_commuting_tuple_validation(corpus):
     g = corpus["s3"]
-    t = find_element(g, lambda i: g.element_order(i) == 2)
-    r = find_element(g, lambda i: g.element_order(i) == 3)
+    t = element_of_order(g, 2)
+    r = element_of_order(g, 3)
     with pytest.raises(NotCommutingError):
         commuting_tuple(g, (t, r))
     assert commuting_tuple(g, (r, g.mul(r, r))) == (r, g.mul(r, r))
@@ -357,10 +363,10 @@ def test_registry_key_is_a_conjugation_invariant(corpus):
         group = corpus[name]
         _, registry = branching_matrix(group)
         for tid, entry in enumerate(registry.types):
-            key = registry.bucket_key(entry.centralizer)
+            key = entry.centralizer.fingerprint
             for g in range(0, group.order, 7):
                 conj = Subgroup(group, [group.conj(g, x) for x in entry.centralizer.members])
-                assert registry.bucket_key(conj) == key
+                assert conj.fingerprint == key
                 assert registry.lookup(conj) == tid
 
 

@@ -27,7 +27,7 @@ from commprob.errors import CapExceededError, InvalidFamilyError
 from commprob.groups import FiniteGroup, group_generate, permutation_element
 from commprob.groupspec import corpus_group
 
-from conftest import bruteforce_max_abelian_order, gl2, naive_orbit_count, symmetric_group
+from conftest import bruteforce_max_abelian_order, gl2, naive_orbit_count, sl2, symmetric_group
 
 
 def test_class_count_small_values(corpus):
@@ -114,6 +114,11 @@ def test_oracle_past_the_default_cap():
     with pytest.raises(CapExceededError):
         oracle_class_count(s6, 4)
     assert oracle_class_count(s6, 4, cap=720) == class_count(s6, 4)
+
+
+def test_oracle_above_the_table_limit(large_groups):
+    group = large_groups["sl2_f13"]  # 2184 elements
+    assert oracle_class_counts(group, 3, cap=2184) == class_count_sequence(group, 3)[1:]
 
 
 def test_oracle_makes_at_most_order_squared_products(monkeypatch):
@@ -308,6 +313,15 @@ def test_family_a_matches_generated_groups(corpus):
         ("gl3_f2", "GL", 3, 2),
     ):
         assert family_max_abelian(family, size, q) == max_abelian(corpus[name])[0]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_sp2_formulas_match_sl2(large_groups, q):
+    # Sp2(F_q) = SL2(F_q); its largest abelian centralizer is +-1 times the
+    # unipotent radical, of order 2q
+    group = large_groups["sl2_f13"] if q == 13 else sl2(q)
+    assert family_order("Sp", 1, q) == group.order
+    assert family_max_abelian("Sp", 1, q) == max_abelian(group)[0] == 2 * q
 
 
 def test_family_asymptote_sp2_q5():

@@ -151,12 +151,6 @@ def test_canonical_equality_and_hash():
     assert x != z and x.encode() != z.encode()
 
 
-def test_element_orders_divide_group_order(corpus):
-    for group in corpus.values():
-        for i in range(group.order):
-            assert group.order % group.element_order(i) == 0
-
-
 def test_subgroup_validation(corpus):
     g = corpus["s3"]
     assert Subgroup.whole(g).is_subgroup()

@@ -144,6 +144,14 @@ def test_structure_check_reports_unplaceable_alpha(grid, detail):
     assert (last.name, last.passed, last.detail) == ("max_degree_on_abelian_diagonal", False, detail)
 
 
+@pytest.mark.parametrize(
+    "grid,message", [([], "must not be empty"), ([[1, -1], [1]], "must be square")]
+)
+def test_exponent_grid_must_be_nonempty_and_square(grid, message):
+    with pytest.raises(ValueError, match=message):
+        psi_matrix_from_exponents("t", grid, 4, 2)
+
+
 def test_fixtures_are_shared_and_their_grids_copied():
     for name in ("gl2", "gl3", "gl4"):
         assert fixture(name) is fixture(name)
