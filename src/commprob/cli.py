@@ -142,11 +142,13 @@ def _refuse_unprintable_counts(group, d: int) -> None:
 def cmd_cpd(args) -> int:
     group = _resolve_group(args.group)
     _refuse_unprintable_counts(group, args.d)
-    counts = class_count_sequence(group, args.d)
     header = "d,class_count,commuting_count,cp"
     if args.oracle:
+        # first, so that a group above the oracle cap is refused before
+        # the branching matrix is built
         oracle_counts = oracle_class_counts(group, args.d)
         header += ",oracle,verdict"
+    counts = class_count_sequence(group, args.d)
     lines = [header]
     all_match = True
     for d in range(1, args.d + 1):

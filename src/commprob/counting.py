@@ -7,11 +7,12 @@ An independent cross-check comes from Burnside orbit counting: the orbit
 count of G on commuting d-tuples is |C_{d+1}(G)| / |G| where
 |C_{k+1}(H)| = sum over g in H of |C_k(Z_H(g))|.  The oracle represents
 each member set as an int bitmask, takes every centralizer as an AND with a
-commutation mask built once per call (|G|(|G| - 1) products at most), and
-evaluates every k by one dynamic programme over the DAG of centralizers
-reachable from G, at one AND per (node, member).  It uses nothing from the
-branching matrix it checks.  Everything is exact: arbitrary-precision
-integers and fractions, no floating point.
+commutation mask (|G|(|G| - 1) products at most), and evaluates every k by
+one dynamic programme over the DAG of centralizers reachable from G.  The
+masks and the DAG are built once per group, on its first oracle call, and
+the DAG is cached on it; later calls run only the dynamic programme.  It
+uses nothing from the branching matrix it checks.  Everything is exact:
+arbitrary-precision integers and fractions, no floating point.
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ def oracle_class_counts(group: FiniteGroup, dmax: int, cap: int = 500) -> list[i
     """Burnside orbit counts [c(1), ..., c(dmax)], independent of the matrix.
 
     c(d) = |C_{d+1}(G)| / |G| for every d from one pass of
-    `_commuting_tuple_totals`: |G|(|G| - 1) products at most, plus one
-    bitmask AND per (node, member).  Intended as a small-instance validator
-    only; refuses groups above `cap`.
+    `_commuting_tuple_totals`.  The group's first oracle call builds its
+    centralizer DAG: |G|(|G| - 1) products at most, plus one bitmask AND per
+    (node, member).  Every later call on the group runs only the dynamic
+    programme.  Intended as a small-instance validator only; refuses groups
+    above `cap`.
     """
     if dmax < 1:
         raise ValueError("d must be >= 1")
@@ -81,13 +84,31 @@ def _commuting_tuple_totals(group: FiniteGroup, kmax: int) -> list[int]:
     """[|C_1(G)|, ..., |C_kmax(G)|], where C_k(H) is the set of commuting
     k-tuples of H, by |C_k(H)| = sum over g in H of |C_{k-1}(C_H(g))|.
 
+    One pass per k over the group's centralizer DAG gives
+    f_k(M) = sum of mult * f_{k-1}(child) from f_1(M) = |M|; the DAG is
+    built on the group's first oracle call and reused after it.
+    """
+    sizes, children = _centralizer_dag(group)
+    f = sizes
+    totals = [f[0]]
+    for _ in range(kmax - 1):
+        f = [sum(m * f[c] for c, m in kids) for kids in children]
+        totals.append(f[0])
+    return totals
+
+
+def _centralizer_dag(group: FiniteGroup) -> tuple[tuple[int, ...], tuple]:
+    """(sizes, children) of the member sets reachable from G by taking
+    centralizers, cached on the group; node 0 is G.
+
     A member set is an int bitmask and comm[g] holds the elements commuting
     with g, so C_M(g) = M & comm[g].  The masks take one product pair per
-    unordered pair of non-identity elements.  The member sets reachable from
-    G form a small DAG; each node records its children with multiplicities,
-    and one pass per k gives f_k(M) = sum of mult * f_{k-1}(child) from
-    f_1(M) = |M|.
+    unordered pair of non-identity elements.  Each node records its
+    children as (child id, multiplicity) pairs; the masks are dropped once
+    the ids are assigned.
     """
+    if group._centralizer_dag is not None:
+        return group._centralizer_dag
     n, mul = group.order, group.mul
     comm = [1 | 1 << g for g in range(n)]
     comm[0] = (1 << n) - 1
@@ -112,12 +133,12 @@ def _commuting_tuple_totals(group: FiniteGroup, kmax: int) -> list[int]:
             rest ^= low
         children[node] = mults
         pending.extend(child for child in mults if child not in children)
-    f = {node: node.bit_count() for node in children}
-    totals = [f[full]]
-    for _ in range(kmax - 1):
-        f = {node: sum(m * f[c] for c, m in kids.items()) for node, kids in children.items()}
-        totals.append(f[full])
-    return totals
+    ids = {node: i for i, node in enumerate(children)}  # G is popped first
+    group._centralizer_dag = (
+        tuple(node.bit_count() for node in children),
+        tuple(tuple((ids[c], m) for c, m in mults.items()) for mults in children.values()),
+    )
+    return group._centralizer_dag
 
 
 def commuting_count(group: FiniteGroup, d: int) -> int:

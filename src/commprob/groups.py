@@ -6,7 +6,8 @@ multiplication, inversion and canonical byte encoding for one kind of
 element, so two elements are equal exactly when their carriers and data
 agree.  All containers here are immutable after construction; only cached
 derived data (product words, inverses, classes and each element's class
-id, subgroup fingerprints) is filled in lazily.
+id, subgroup fingerprints, the oracle's centralizer DAG) is filled in
+lazily.
 
 Generator closure records, for each seed s (a generator or the inverse of
 one), its left action on the element indices: act_s[x] = index(s * e_x).
@@ -201,6 +202,7 @@ class FiniteGroup:
         self._classes = None
         self._class_of = None
         self._branching = None
+        self._centralizer_dag = None
 
     @property
     def order(self) -> int:

@@ -11,6 +11,7 @@ import pytest
 
 import commprob
 
+from commprob import cli
 from commprob.branching import branching_matrix
 from commprob.cli import run
 
@@ -160,6 +161,30 @@ def test_invalid_spec_file_exits_2(tmp_path, capsys):
     code, _, err = invoke(capsys, "classes", str(path))
     assert code == 2
     assert "error" in err
+
+
+def test_cpd_oracle_refuses_an_over_cap_group_before_counting(tmp_path, capsys, monkeypatch):
+    # S6 has 720 elements, above the oracle's default cap of 500
+    path = tmp_path / "s6.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "S6",
+                "kind": "permutation",
+                "degree": 6,
+                "generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]],
+            }
+        )
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("class counts computed before the oracle's cap check")
+
+    monkeypatch.setattr(cli, "class_count_sequence", refuse)
+    code, out, err = invoke(capsys, "cpd", str(path), "--d", "3", "--oracle")
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "oracle cap 500" in errors[0]
 
 
 def child_env(**extra):

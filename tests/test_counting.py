@@ -28,6 +28,7 @@ from commprob.groups import FiniteGroup, group_generate, permutation_element
 from commprob.groupspec import corpus_group
 
 from conftest import bruteforce_max_abelian_order, gl2, naive_orbit_count, sl2, symmetric_group
+from test_groups import conjugated_gl2_f3
 
 
 def test_class_count_small_values(corpus):
@@ -169,6 +170,52 @@ def test_oracle_rows_from_one_pass_without_the_matrix(corpus, monkeypatch, capsy
     assert cli.run(["cpd", "gl3_f2", "--d", "8", "--oracle"]) == 0
     assert passes == [9]
     assert capsys.readouterr().out.count("MATCH") == 8
+
+
+def oracle_round(group):
+    """Every oracle entry point: all rows, each row alone, and the totals."""
+    rows = oracle_class_counts(group, 6)
+    assert [oracle_class_count(group, d) for d in range(1, 7)] == rows
+    return rows, [commuting_tuple_total(group, d) for d in range(1, 5)]
+
+
+def test_oracle_products_are_made_once_per_group(monkeypatch):
+    group = gl2(5)  # 480 elements, fresh
+    calls = []
+    mul = FiniteGroup.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counted)
+    first = oracle_round(group)
+    assert 0 < len(calls) <= group.order**2
+    calls.clear()
+    assert oracle_round(group) == first
+    assert calls == []
+
+
+def test_oracle_cache_is_per_group_and_independent(monkeypatch):
+    fresh = corpus_group("gl3_f2")
+    oracle_round(fresh)
+    assert fresh._centralizer_dag is not None
+    assert fresh._branching is None and fresh._classes is None
+    # the same group with its elements in another order: each copy
+    # multiplies its own elements into its own DAG
+    plain, conjugated = corpus_group("gl2_f3"), conjugated_gl2_f3()
+    assert plain.elements != conjugated.elements
+    multiplied = []
+    mul = FiniteGroup.mul
+
+    def recorded(self, a, b):
+        multiplied.append(self)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "mul", recorded)
+    assert oracle_round(plain) == oracle_round(conjugated)
+    assert multiplied[0] is plain and multiplied[-1] is conjugated
+    assert plain._centralizer_dag is not conjugated._centralizer_dag
 
 
 def test_oracle_cap(corpus):
