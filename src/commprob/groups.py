@@ -23,6 +23,13 @@ letter (with its inverse), its action composed from its word, and the
 search starts again.  No product after the closure costs a carrier
 product or a field operation.
 
+The closure itself makes no matrix product either.  Column j of s * x is
+s times column j of x, so each matrix seed acts through a memo from a
+column's code to the code of its image, filled as the search first meets
+each column: a product is n lookups, and field operations are made only
+on a memo miss and to invert the generators.  Permutation seeds multiply
+through their carrier, one lookup per point.
+
 Every subgroup carries a generating set, and the scans over a subgroup
 (commutation, conjugation, closure) run over its generators rather than
 its members.  The whole group is generated by the indices of its
@@ -35,6 +42,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 from .errors import CapExceededError, ElementNotInGroupError, MixedCarriersError
 from .fields import Field
@@ -88,12 +97,63 @@ class MatrixCarrier:
                     aug[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(aug[r], aug[col])]
         return tuple(aug[i][n + j] for i in range(n) for j in range(n))
 
+    def column_codes(self, a) -> tuple[int, ...]:
+        """Column j of `a` as the integer sum(a[i][j] * q**i), for each j."""
+        n, q = self.n, self.field.order
+        return tuple(sum(a[i * n + j] * q**i for i in range(n)) for j in range(n))
+
+    def from_column_codes(self, codes) -> tuple[int, ...]:
+        """The row-major data of the matrix with these column codes."""
+        n, q = self.n, self.field.order
+        return tuple(chain.from_iterable(zip(*(_digits(code, q, n) for code in codes))))
+
+    def column_action(self, s):
+        """x -> s * x on column codes.  Column j of s * x is s times column
+        j of x, so a product is one lookup per column in a memo of s's
+        column images.  The memo is filled as columns are first met, and a
+        miss costs n * n field operations."""
+        image = _ColumnImages(self, s).__getitem__
+        return lambda x: tuple(map(image, x))
+
     def encode(self, a) -> bytes:
         return b"".join(x.to_bytes(4, "big") for x in a)
 
     def describe(self, a) -> str:
         n = self.n
         return ";".join(",".join(str(x) for x in a[i * n : (i + 1) * n]) for i in range(n))
+
+
+def _digits(code: int, q: int, n: int) -> list[int]:
+    """The n base-q digits of `code`, lowest first."""
+    digits = []
+    for _ in range(n):
+        code, x = divmod(code, q)
+        digits.append(x)
+    return digits
+
+
+class _ColumnImages(dict):
+    """Column code -> column code of s times that column, for one matrix s,
+    computed on first lookup."""
+
+    def __init__(self, carrier: MatrixCarrier, s):
+        n = carrier.n
+        self.field = carrier.field
+        self.rows = [s[i * n : (i + 1) * n] for i in range(n)]
+
+    def __missing__(self, code):
+        field, rows = self.field, self.rows
+        q = field.order
+        column = _digits(code, q, len(rows))
+        image = 0
+        for row in reversed(rows):
+            acc = 0
+            for a, b in zip(row, column):
+                if a and b:
+                    acc = field.add(acc, field.mul(a, b))
+            image = image * q + acc
+        self[code] = image
+        return image
 
 
 class PermutationCarrier:
@@ -114,7 +174,7 @@ class PermutationCarrier:
 
     def mul(self, a, b):
         # (a * b)(x) = a(b(x))
-        return tuple(a[b[x]] for x in range(self.domain))
+        return tuple(map(a.__getitem__, b))
 
     def inv(self, a):
         out = [0] * self.domain
@@ -176,9 +236,10 @@ class FiniteGroup:
     over the closure's left actions and inversion reads a table, both
     built on first use (`_ensure_tables`) at every order.  Instances are
     immutable apart from those and other lazily cached data.  Built by
-    `group_generate`, which hands over its element index, the indices of
-    the generators (`generators`, identity left out) and the seeds'
-    recorded left actions.
+    `group_generate`, which hands over its elements as row-major carrier
+    data (whatever the closure searched over), the index keyed by that
+    data, the indices of the generators (`generators`, identity left out)
+    and the seeds' recorded left actions.
     """
 
     def __init__(
@@ -462,13 +523,19 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
     The identity is discovered first; after that, elements appear in the
     order produced by left-multiplying queue elements by the generators and
     their inverses (the seeds), so the element indexing is deterministic for
-    a fixed generator list.  Every product s * e_x made here is kept: the
-    element dict becomes `FiniteGroup.index`, and act_s[x] = index(s * e_x)
-    is recorded for each seed s, from which `FiniteGroup` builds its
-    product words.  The generators' indices, in the given order without
-    repeats or the identity, become `FiniteGroup.generators`; no closure is
-    needed to find them.  Raises CapExceededError as soon as
-    the closure grows past `cap`.
+    a fixed generator list.  Every product s * e_x made here is kept:
+    act_s[x] = index(s * e_x) is recorded for each seed s, from which
+    `FiniteGroup` builds its product words.
+
+    A permutation seed multiplies through its carrier.  A matrix seed makes
+    no carrier product: the search runs over the elements' column codes and
+    each seed acts through `MatrixCarrier.column_action`, whose memo is
+    dropped on return.  Each element is then converted once to its
+    row-major data, which keys `FiniteGroup.index`.
+
+    The generators' indices, in the given order without repeats or the
+    identity, become `FiniteGroup.generators`; no closure is needed to find
+    them.  Raises CapExceededError as soon as the closure grows past `cap`.
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -487,14 +554,18 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
         if inv not in seeds:
             seeds.append(inv)
 
-    identity = carrier.identity()
-    elements = [identity]
-    index = {identity: 0}
+    if isinstance(carrier, MatrixCarrier):
+        start, decode = carrier.column_codes(carrier.identity()), carrier.from_column_codes
+        steps = [carrier.column_action(s) for s in seeds]
+    else:
+        start, decode = carrier.identity(), None
+        steps = [partial(carrier.mul, s) for s in seeds]
+    elements = [start]
+    index = {start: 0}
     actions = [[] for _ in seeds]
-    mul = carrier.mul
     for x in elements:  # also visits the elements appended below: breadth-first
-        for s, act in zip(seeds, actions):
-            y = mul(s, x)
+        for step, act in zip(steps, actions):
+            y = step(x)
             i = index.get(y)
             if i is None:
                 i = index[y] = len(elements)
@@ -502,6 +573,10 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
                 if i >= cap:
                     raise CapExceededError(f"closure exceeded cap of {cap} elements")
             act.append(i)
+    if decode is not None:
+        del index  # free the column-code index before the data index is built
+        elements = list(map(decode, elements))
+        index = {x: i for i, x in enumerate(elements)}
     generators = tuple(dict.fromkeys(i for i in (index[g.data] for g in gens) if i != 0))
     return FiniteGroup(carrier, elements, index, actions, generators, name=name)
 

@@ -59,9 +59,9 @@ def symmetric_group(n, offset=0, degree=None):
     return [permutation_element(perm(points)), permutation_element(perm(points[:2]))]
 
 
-def gl2(p, modulus=None):
-    """GL2(F_q) from a transvection, the swap and diag(w, 1), w generating
-    F_q*; q = p, or p^k for a modulus of degree k."""
+def gl2_generators(p, modulus=None):
+    """A transvection, the swap and diag(w, 1), w generating F_q*, which
+    generate GL2(F_q); q = p, or p^k for a modulus of degree k."""
     field = field_create(p, 1 if modulus is None else len(modulus) - 1, modulus)
     q = field.order
 
@@ -73,7 +73,26 @@ def gl2(p, modulus=None):
 
     w = next(x for x in range(2, q) if mult_order(x) == q - 1) if q > 2 else 1
     rows = ([[1, 1], [0, 1]], [[0, 1], [1, 0]], [[w, 0], [0, 1]])
-    return group_generate([matrix_element(field, r) for r in rows], name=f"GL2(F{q})")
+    return [matrix_element(field, r) for r in rows]
+
+
+def gl2(p, modulus=None):
+    """GL2(F_q) from `gl2_generators`."""
+    gens = gl2_generators(p, modulus)
+    return group_generate(gens, name=f"GL2(F{gens[0].carrier.field.order})")
+
+
+def gl3_generators(p):
+    """A transvection, the 3-cycle permutation matrix and diag(w, 1, 1), w
+    generating F_p*, which generate GL3(F_p)."""
+    field = field_create(p, 1)
+    w = next(x for x in range(1, p) if len({pow(x, e, p) for e in range(p)}) == p - 1)
+    rows = (
+        [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        [[w, 0, 0], [0, 1, 0], [0, 0, 1]],
+    )
+    return [matrix_element(field, r) for r in rows]
 
 
 def sl2(p):

@@ -27,7 +27,14 @@ from commprob.errors import CapExceededError, InvalidFamilyError
 from commprob.groups import FiniteGroup, group_generate, permutation_element
 from commprob.groupspec import corpus_group
 
-from conftest import bruteforce_max_abelian_order, gl2, naive_orbit_count, sl2, symmetric_group
+from conftest import (
+    bruteforce_max_abelian_order,
+    gl2,
+    gl3_generators,
+    naive_orbit_count,
+    sl2,
+    symmetric_group,
+)
 from test_groups import conjugated_gl2_f3
 
 
@@ -428,8 +435,8 @@ def test_class_count_sequence_consistent(corpus):
         assert seq[d] == class_count(group, d)
 
 
-# Class numbers with no oracle behind them, for groups above the 500-element
-# oracle cap, built from 2184 to 5040 elements.
+# Class numbers with no oracle behind them, most for groups above the
+# 500-element oracle cap, up to GL2(F11) with 13,200 elements.
 
 
 @pytest.mark.parametrize("n,partitions", [(5, 7), (6, 11), (7, 15)])
@@ -438,11 +445,30 @@ def test_class_number_of_symmetric_group_is_partition_count(large_groups, n, par
     assert conjugacy_classes(group).count == partitions
 
 
-@pytest.mark.parametrize("p,modulus,q", [(2, (1, 1, 1), 4), (5, None, 5), (7, None, 7)])
+@pytest.mark.parametrize(
+    "p,modulus,q",
+    [
+        (2, (1, 1, 1), 4),
+        (5, None, 5),
+        (7, None, 7),
+        (2, (1, 0, 1, 1), 8),
+        (3, (1, 0, 1), 9),
+        (11, None, 11),
+    ],
+)
 def test_class_number_of_gl2_is_q_squared_minus_one(p, modulus, q):
     group = gl2(p, modulus)
     assert group.order == q * (q - 1) * (q * q - 1)
     assert conjugacy_classes(group).count == q * q - 1
+
+
+def test_class_number_and_structure_of_gl3_f3():
+    group = group_generate(gl3_generators(3), name="GL3(F3)")
+    assert group.order == family_order("GL", 3, 3)
+    assert conjugacy_classes(group).count == 3**3 - 3
+    matrix, registry = branching_matrix(group)
+    assert verify_structure(matrix, registry).ok
+    assert matrix.size == 10
 
 
 def test_class_numbers_above_both_caps(large_groups):

@@ -23,7 +23,7 @@ from commprob.groupspec import (
     parse_group_spec,
 )
 
-from conftest import gl2, symmetric_group
+from conftest import gl2, gl2_generators, gl3_generators, symmetric_group
 
 
 def gl_order(n, q):
@@ -167,6 +167,14 @@ GL2_F4_SPEC = """{
   "generators": [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[2, 0], [0, 1]]]
 }"""
 
+SL2_F8_SPEC = """{
+  "name": "SL2(F8)",
+  "kind": "matrix",
+  "field": {"p": 2, "k": 3, "modulus": [1, 1, 0, 1]},
+  "degree": 2,
+  "generators": [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 0], [0, 5]]]
+}"""
+
 GL2_F5_SPEC = """{
   "name": "GL2(F5)",
   "kind": "matrix",
@@ -176,17 +184,21 @@ GL2_F5_SPEC = """{
 }"""
 
 
-def conjugated_gl2_f3():
-    """GL2(F3) from h g h^-1 for the corpus generators g: same group, new order."""
+def conjugated_gl2_f3_generators():
+    """h g h^-1 for the corpus generators g of GL2(F3)."""
     f3 = field_create(3, 1)
     h = matrix_element(f3, [[1, 2], [1, 0]])
     carrier = h.carrier
     h_inv = carrier.inv(h.data)
-    gens = [
+    return [
         GroupElement(carrier, carrier.mul(carrier.mul(h.data, g.data), h_inv))
         for g in (matrix_element(f3, rows) for rows in corpus_spec("gl2_f3").generators)
     ]
-    return group_generate(gens, name="GL2(F3)^h")
+
+
+def conjugated_gl2_f3():
+    """GL2(F3) from conjugated generators: same group, new order."""
+    return group_generate(conjugated_gl2_f3_generators(), name="GL2(F3)^h")
 
 
 def word_bound(group):
@@ -284,3 +296,73 @@ def test_table_build_makes_no_carrier_products(monkeypatch):
         assert [group.mul(5, 7), group.mul(group.order - 1, 3)] == products
         assert all(group.mul(a, group.inv(a)) == 0 for a in range(group.order))
     assert calls == []
+
+
+def spec_generators(spec):
+    """The generator elements of a parsed spec, as `build_group` makes them."""
+    if spec.kind == "permutation":
+        return [permutation_element(g) for g in spec.generators]
+    field = field_create(spec.field.p, spec.field.k, spec.field.modulus)
+    return [matrix_element(field, g) for g in spec.generators]
+
+
+def reference_closure(gens):
+    """The closure by carrier products: breadth-first from the identity,
+    left-multiplying by the generators and then their inverses.  Returns
+    the elements, the index, each seed's recorded action and the
+    generators' indices."""
+    carrier = gens[0].carrier
+    seeds = list(dict.fromkeys([g.data for g in gens] + [carrier.inv(g.data) for g in gens]))
+    identity = carrier.identity()
+    elements, index = [identity], {identity: 0}
+    actions = [[] for _ in seeds]
+    for x in elements:
+        for s, act in zip(seeds, actions):
+            y = carrier.mul(s, x)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+            act.append(index[y])
+    generators = tuple(dict.fromkeys(i for i in (index[g.data] for g in gens) if i != 0))
+    return elements, index, actions, generators
+
+
+CLOSURE_CASES = {
+    **{name: lambda name=name: spec_generators(corpus_spec(name)) for name in CORPUS_NAMES},
+    "gl2_f3_conjugated": conjugated_gl2_f3_generators,
+    "gl2_f4": lambda: spec_generators(parse_group_spec(GL2_F4_SPEC)),
+    "sl2_f8": lambda: spec_generators(parse_group_spec(SL2_F8_SPEC)),
+    "gl2_f8": lambda: gl2_generators(2, (1, 0, 1, 1)),
+    "gl2_f9": lambda: gl2_generators(3, (1, 0, 1)),
+    "gl3_f3": lambda: gl3_generators(3),
+    "gl1_f10007": lambda: [matrix_element(field_create(10007, 1), [[5]])],
+    "s7": lambda: symmetric_group(7),
+}
+
+
+@pytest.mark.parametrize("name", CLOSURE_CASES)
+def test_closure_matches_the_carrier_product_closure(name):
+    gens = CLOSURE_CASES[name]()
+    group = group_generate(gens)
+    elements, index, actions, generators = reference_closure(gens)
+    assert group.elements == elements
+    assert group.index == index
+    assert group._actions == actions
+    assert group.generators == generators
+
+
+def test_matrix_closure_cap_is_exact():
+    spec = corpus_spec("gl2_f3")
+    with pytest.raises(CapExceededError):
+        build_group(spec, cap=47)
+    assert build_group(spec, cap=48).order == 48
+
+
+def test_closure_makes_no_carrier_products(monkeypatch):
+    # matrix seeds act through memoized column images, not MatrixCarrier.mul
+    def refuse(carrier, a, b):
+        raise AssertionError("carrier product in the closure")
+
+    monkeypatch.setattr(groups_module.MatrixCarrier, "mul", refuse)
+    assert build_group(parse_group_spec(GL2_F4_SPEC)).order == 180
+    assert build_group(parse_group_spec(GL2_F5_SPEC)).order == 480
