@@ -7,11 +7,14 @@ An independent cross-check comes from Burnside orbit counting: the orbit
 count of G on commuting d-tuples is |C_{d+1}(G)| / |G| where
 |C_{k+1}(H)| = sum over g in H of |C_k(Z_H(g))|.  The oracle represents
 each member set as an int bitmask, takes every centralizer as an AND with a
-commutation mask (|G|(|G| - 1) products at most), and evaluates every k by
-one dynamic programme over the DAG of centralizers reachable from G.  The
-masks and the DAG are built once per group, on its first oracle call, and
-the DAG is cached on it; later calls run only the dynamic programme.  It
-uses nothing from the branching matrix it checks.  Everything is exact:
+commutation mask, and evaluates every k by one dynamic programme over the
+DAG of centralizers reachable from G.  The masks are conjugated along
+conjugacy classes, C(h.r.h^-1) = h.C(r).h^-1: one scan of the group per
+non-central class, found by the oracle's own orbit search, so at most
+2|G|(|generators| + k(G)) products.  The masks and the DAG are built once
+per group, on its first oracle call, and the DAG is cached on it; later
+calls run only the dynamic programme.  It uses nothing from the conjugacy
+classes or the branching matrix it checks.  Everything is exact:
 arbitrary-precision integers and fractions, no floating point.
 """
 
@@ -46,10 +49,11 @@ def oracle_class_counts(group: FiniteGroup, dmax: int, cap: int = 500) -> list[i
 
     c(d) = |C_{d+1}(G)| / |G| for every d from one pass of
     `_commuting_tuple_totals`.  The group's first oracle call builds its
-    centralizer DAG: |G|(|G| - 1) products at most, plus one bitmask AND per
+    centralizer DAG: commutation masks conjugated along classes,
+    2|G|(|generators| + k(G)) products at most, plus one bitmask AND per
     (node, member).  Every later call on the group runs only the dynamic
-    programme.  Intended as a small-instance validator only; refuses groups
-    above `cap`.
+    programme.  Refuses groups above `cap`.  The masks take |G|^2/8 bytes;
+    with an explicit `cap`, groups of about 10^4 elements take seconds.
     """
     if dmax < 1:
         raise ValueError("d must be >= 1")
@@ -97,26 +101,60 @@ def _commuting_tuple_totals(group: FiniteGroup, kmax: int) -> list[int]:
     return totals
 
 
+def _commutation_masks(group: FiniteGroup) -> list[int]:
+    """comm[g], the bitmask of the elements commuting with g, for every g.
+
+    C(h.r.h^-1) = h.C(r).h^-1, so the group is scanned once per conjugacy
+    class, not once per element.  Conjugation by each generator is
+    tabulated as a permutation of the indices.  An element that every such
+    permutation fixes is central: it commutes with everything.  Each other
+    class is the orbit of its first element r under the permutations.  C(r)
+    comes from testing every non-central element against r, and the member
+    list of each other element of the class is its parent's list pushed
+    through the permutation that reached it.  That makes
+    2|G|(|generators| + k(G)) products at most, where testing every pair
+    would make |G|(|G| - 1).  Only `mul`, `inv` and `generators` are used.
+    """
+    n, mul, inv = group.order, group.mul, group.inv
+    conj = []
+    for s in group.generators:
+        s_inv = inv(s)
+        conj.append([mul(mul(s, x), s_inv) for x in range(n)])
+    full, n_bytes = (1 << n) - 1, (n + 7) // 8
+    comm = [full if all(p[x] == x for p in conj) else 0 for x in range(n)]
+    central = [x for x in range(n) if comm[x]]
+    noncentral = [x for x in range(n) if not comm[x]]
+    for r in noncentral:
+        if comm[r]:
+            continue
+        members = {r: central + [x for x in noncentral if mul(x, r) == mul(r, x)]}
+        orbit = [r]
+        for y in orbit:  # also visits the class elements appended below
+            below = members[y]
+            for p in conj:
+                z = p[y]
+                if z not in members:
+                    members[z] = [p[m] for m in below]
+                    orbit.append(z)
+            bits = bytearray(n_bytes)
+            for m in below:
+                bits[m >> 3] |= 1 << (m & 7)
+            comm[y] = int.from_bytes(bits, "little")
+    return comm
+
+
 def _centralizer_dag(group: FiniteGroup) -> tuple[tuple[int, ...], tuple]:
     """(sizes, children) of the member sets reachable from G by taking
     centralizers, cached on the group; node 0 is G.
 
     A member set is an int bitmask and comm[g] holds the elements commuting
-    with g, so C_M(g) = M & comm[g].  The masks take one product pair per
-    unordered pair of non-identity elements.  Each node records its
-    children as (child id, multiplicity) pairs; the masks are dropped once
-    the ids are assigned.
+    with g (`_commutation_masks`), so C_M(g) = M & comm[g].  Each node
+    records its children as (child id, multiplicity) pairs; the masks are
+    dropped once the ids are assigned.
     """
     if group._centralizer_dag is not None:
         return group._centralizer_dag
-    n, mul = group.order, group.mul
-    comm = [1 | 1 << g for g in range(n)]
-    comm[0] = (1 << n) - 1
-    for g in range(2, n):
-        for x in range(1, g):
-            if mul(x, g) == mul(g, x):
-                comm[g] |= 1 << x
-                comm[x] |= 1 << g
+    comm = _commutation_masks(group)
     full = comm[0]
     children: dict[int, dict[int, int]] = {}
     pending = [full]

@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from commprob.counting import (
 )
 from commprob.conjugacy import conjugacy_classes
 from commprob.errors import CapExceededError, InvalidFamilyError
-from commprob.groups import FiniteGroup, group_generate, permutation_element
+from commprob.fields import field_create
+from commprob.groups import FiniteGroup, group_generate, matrix_element, permutation_element
 from commprob.groupspec import corpus_group
 
 from conftest import (
@@ -177,6 +179,79 @@ def test_oracle_rows_from_one_pass_without_the_matrix(corpus, monkeypatch, capsy
     assert cli.run(["cpd", "gl3_f2", "--d", "8", "--oracle"]) == 0
     assert passes == [9]
     assert capsys.readouterr().out.count("MATCH") == 8
+
+
+def reference_masks(group):
+    """comm[g] as a bitmask of the elements commuting with g, by testing
+    every pair of elements: the pair loop that the class-conjugated masks
+    replaced, kept as their reference."""
+    n, mul = group.order, group.mul
+    comm = [1 | 1 << g for g in range(n)]
+    comm[0] = (1 << n) - 1
+    for g in range(2, n):
+        for x in range(1, g):
+            if mul(x, g) == mul(g, x):
+                comm[g] |= 1 << x
+                comm[x] |= 1 << g
+    return comm
+
+
+def test_commutation_masks_match_the_pair_loop(corpus, large_groups):
+    groups = dict(corpus)
+    groups["gl2_f3 conjugated"] = conjugated_gl2_f3()
+    groups["S6"] = group_generate(symmetric_group(6), name="S6")
+    groups["GL2(F7)"] = gl2(7)
+    groups["SL2(F13)"] = large_groups["sl2_f13"]
+    # cyclic of order 100 from the primitive root 2: every element is central
+    groups["GL1(F101)"] = group_generate([matrix_element(field_create(101, 1), [[2]])])
+    for name, group in groups.items():
+        assert counting._commutation_masks(group) == reference_masks(group), name
+
+
+@pytest.mark.parametrize(
+    "make,cap",
+    [(lambda: gl2(5), 500), (lambda: group_generate(symmetric_group(6)), 720)],
+    ids=["GL2(F5)", "S6"],
+)
+def test_oracle_products_fit_the_class_bound(monkeypatch, make, cap):
+    # one scan per non-central class plus two products per element and
+    # generator for the conjugation permutations
+    group = make()  # fresh: nothing cached on it
+    calls = []
+    mul = FiniteGroup.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counted)
+    rows = oracle_class_counts(group, 4, cap=cap)
+    monkeypatch.undo()
+    assert rows == class_count_sequence(group, 4)[1:]
+    k = conjugacy_classes(group).count
+    assert 0 < len(calls) <= 2 * group.order * (len(group.generators) + k)
+
+
+def test_oracle_above_the_old_reach(large_groups):
+    s7 = large_groups["s7"]
+    assert oracle_class_counts(s7, 3, cap=5040) == class_count_sequence(s7, 3)[1:]
+    gl3_f3 = group_generate(gl3_generators(3), name="GL3(F3)")  # 11232 elements
+    assert oracle_class_counts(gl3_f3, 3, cap=11232) == class_count_sequence(gl3_f3, 3)[1:]
+
+
+def test_oracle_on_s7_without_classes_or_matrix(large_groups, monkeypatch):
+    expected = class_count_sequence(large_groups["s7"], 3)[1:]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the class or matrix machinery")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "commprob"]:
+        for attr in ("conjugacy_classes", "centralizer", "z_classes", "branching_matrix"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    fresh = group_generate(symmetric_group(7), name="S7")
+    assert oracle_class_counts(fresh, 3, cap=5040) == expected
+    assert fresh._classes is None and fresh._class_of is None and fresh._branching is None
 
 
 def oracle_round(group):
@@ -435,8 +510,8 @@ def test_class_count_sequence_consistent(corpus):
         assert seq[d] == class_count(group, d)
 
 
-# Class numbers with no oracle behind them, most for groups above the
-# 500-element oracle cap, up to GL2(F11) with 13,200 elements.
+# Class numbers against closed forms, most for groups above the 500-element
+# default oracle cap, up to GL2(F11) with 13,200 elements.
 
 
 @pytest.mark.parametrize("n,partitions", [(5, 7), (6, 11), (7, 15)])
