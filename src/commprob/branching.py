@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .conjugacy import centralizer, commuting_tuple, conjugacy_classes, subgroup_conjugate, z_classes
 from .errors import UnknownTypeError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, center
 from .report import CheckResult, StructureReport
 from .symbolic import exact_power, exact_walk
 
@@ -178,19 +178,15 @@ def verify_structure(matrix: BranchingMatrix, registry: TypeRegistry) -> Structu
     entries = matrix.entries
     beta = matrix.size
 
-    def subgroup_center_order(sub: Subgroup) -> int:
-        commute, gens = group.commute, sub.generators
-        return sum(1 for x in sub.members if all(commute(x, s) for s in gens))
-
+    center_orders = [center(group, within=registry.entry(i).centralizer).order for i in range(beta)]
     ok, detail = True, ""
     for i in range(beta):
-        expected = subgroup_center_order(registry.entry(i).centralizer)
-        if entries[i][i] != expected:
-            ok, detail = False, f"diagonal at type {i}: {entries[i][i]} != {expected}"
+        if entries[i][i] != center_orders[i]:
+            ok, detail = False, f"diagonal at type {i}: {entries[i][i]} != {center_orders[i]}"
             break
     checks.append(CheckResult("diagonal_is_center_order", ok, detail))
 
-    ok = entries[0][0] == subgroup_center_order(registry.entry(0).centralizer)
+    ok = entries[0][0] == center_orders[0]
     checks.append(
         CheckResult("first_entry_is_group_center", ok, "" if ok else f"(0,0)={entries[0][0]}")
     )

@@ -5,30 +5,33 @@ for matrices, image arrays for permutations.  A carrier object supplies the
 multiplication, inversion and canonical byte encoding for one kind of
 element, so two elements are equal exactly when their carriers and data
 agree.  All containers here are immutable after construction; only cached
-derived data (product words, inverses, classes and each element's class
-id, subgroup fingerprints, the oracle's centralizer DAG) is filled in
-lazily.
+derived data (classes and each element's class id, subgroup fingerprints,
+the oracle's centralizer DAG) is filled in lazily.
 
-Generator closure records, for each seed s (a generator or the inverse of
-one), its left action on the element indices: act_s[x] = index(s * e_x).
-Products are replayed from those lists alone, at every order.  A
-breadth-first search from the identity gives each element e_i a word over
-the actions: when e_i is first reached as s * e_p, its word is the word of
-e_p followed by act_s, and since index(e_i * e_j) = index(s * (e_p * e_j)),
-the product index(e_i * e_j) is j pushed through the word, one list lookup
-per letter.  Words are kept shallow (Seress, Permutation Group Algorithms,
-section 4.4): once the search would pass a depth of
-max(8, 2 * bit_length(|G|)), the element at that depth becomes a new
-letter (with its inverse), its action composed from its word, and the
-search starts again.  No product after the closure costs a carrier
-product or a field operation.
+Generator closure runs over closure keys: each carrier maps an element's
+data to its key (`to_key`) and back (`from_key`), and gives each seed s (a
+generator or the inverse of one) its left action x -> s * x on keys
+(`left_action`).  A group keeps the keys; data is made from a key only
+where an element leaves the group (`FiniteGroup.element`).  A permutation
+is its own key, and its seeds multiply through the carrier.  A matrix is
+keyed by its column codes, and column j of s * x is s times column j of x,
+so a matrix seed acts through a memo from a column's code to the code of
+its image, filled as the search first meets each column: a product is n
+lookups, and field operations are made only on a memo miss and to invert
+the generators.
 
-The closure itself makes no matrix product either.  Column j of s * x is
-s times column j of x, so each matrix seed acts through a memo from a
-column's code to the code of its image, filled as the search first meets
-each column: a product is n lookups, and field operations are made only
-on a memo miss and to invert the generators.  Permutation seeds multiply
-through their carrier, one lookup per point.
+The closure records, for each seed s, its left action on the element
+indices: act_s[x] = index(s * e_x).  The group replays every product from
+those lists alone.  A breadth-first search from the identity gives each
+element e_i a word over the actions: when e_i is first reached as s * e_p,
+its word is the word of e_p followed by act_s, and since index(e_i * e_j) =
+index(s * (e_p * e_j)), the product index(e_i * e_j) is j pushed through
+the word, one list lookup per letter.  Words are kept shallow (Seress,
+Permutation Group Algorithms, section 4.4): once the search would pass a
+depth of max(8, 2 * bit_length(|G|)), the element at that depth becomes a
+new letter (with its inverse), its action composed from its word, and the
+search starts again.  Words and inverses are built with the group, so no
+product after the closure costs a carrier product or a field operation.
 
 Every subgroup carries a generating set, and the scans over a subgroup
 (commutation, conjugation, closure) run over its generators rather than
@@ -97,17 +100,17 @@ class MatrixCarrier:
                     aug[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(aug[r], aug[col])]
         return tuple(aug[i][n + j] for i in range(n) for j in range(n))
 
-    def column_codes(self, a) -> tuple[int, ...]:
-        """Column j of `a` as the integer sum(a[i][j] * q**i), for each j."""
+    def to_key(self, a) -> tuple[int, ...]:
+        """Closure key: column j of `a` as the integer sum(a[i][j] * q**i), for each j."""
         n, q = self.n, self.field.order
         return tuple(sum(a[i * n + j] * q**i for i in range(n)) for j in range(n))
 
-    def from_column_codes(self, codes) -> tuple[int, ...]:
+    def from_key(self, codes) -> tuple[int, ...]:
         """The row-major data of the matrix with these column codes."""
         n, q = self.n, self.field.order
         return tuple(chain.from_iterable(zip(*(_digits(code, q, n) for code in codes))))
 
-    def column_action(self, s):
+    def left_action(self, s):
         """x -> s * x on column codes.  Column j of s * x is s times column
         j of x, so a product is one lookup per column in a memo of s's
         column images.  The memo is filled as columns are first met, and a
@@ -182,6 +185,17 @@ class PermutationCarrier:
             out[img] = i
         return tuple(out)
 
+    def to_key(self, a):
+        """A permutation is its own closure key."""
+        return a
+
+    def from_key(self, key):
+        return key
+
+    def left_action(self, s):
+        """x -> s * x, one carrier product."""
+        return partial(self.mul, s)
+
     def encode(self, a) -> bytes:
         return b"".join(x.to_bytes(4, "big") for x in a)
 
@@ -232,14 +246,14 @@ def permutation_element(images) -> GroupElement:
 class FiniteGroup:
     """A fully enumerated group with indexed elements.
 
-    Index 0 is always the identity.  Multiplication replays product words
-    over the closure's left actions and inversion reads a table, both
-    built on first use (`_ensure_tables`) at every order.  Instances are
-    immutable apart from those and other lazily cached data.  Built by
-    `group_generate`, which hands over its elements as row-major carrier
-    data (whatever the closure searched over), the index keyed by that
-    data, the indices of the generators (`generators`, identity left out)
-    and the seeds' recorded left actions.
+    Index 0 is always the identity.  Built by `group_generate`, which hands
+    over its closure keys as `elements`, the index keyed by them, the
+    indices of the generators (`generators`, identity left out) and the
+    seeds' recorded left actions.  The product words and the inverse table
+    are built here, so multiplication replays a word and inversion reads a
+    table.  Elements cross the boundary as `GroupElement` data through
+    `element`, `element_index` and `encode`.  Instances are immutable apart
+    from lazily cached classes, subgroups and oracle data.
     """
 
     def __init__(
@@ -257,8 +271,7 @@ class FiniteGroup:
         self._actions = actions
         self.generators = generators
         self.name = name
-        self._words = None
-        self._inv_table = None
+        self._words, self._inv_table = _product_words(len(elements), actions)
         self._whole = None
         self._classes = None
         self._class_of = None
@@ -280,54 +293,13 @@ class FiniteGroup:
         if not 0 <= i < self.order:
             raise ElementNotInGroupError(f"element index {i} outside group of order {self.order}")
 
-    def _ensure_tables(self) -> None:
-        """Build the product words and the inverse table.
-
-        The letters start as the recorded left actions.  Whenever the
-        breadth-first search would pass the depth bound, the action of an
-        element at that depth, composed from its word in |G| lookups per
-        letter, joins the letters with its inverse, so the letters stay
-        closed under inverses like the seeds, and the search restarts.
-        Each restart puts an element that needed a longer word within
-        reach, so the loop ends.  An inverse is 0 pushed through the
-        reversed word under the letters' inverse permutations.
-        """
-        n, letters = self.order, list(self._actions)
-        bound = max(8, 2 * n.bit_length())
-        while True:
-            words, deep = _shallow_words(n, letters, bound)
-            if words is not None:
-                break
-            action = range(n)
-            for act in deep:
-                action = list(map(act.__getitem__, action))
-            letters += (action, _inverse_permutation(action))
-        inverses = {id(act): _inverse_permutation(act) for act in letters}
-        inv_table = []
-        for word in words:
-            x = 0
-            for act in reversed(word):
-                x = inverses[id(act)][x]
-            inv_table.append(x)
-        self._words = words
-        self._inv_table = inv_table
-        self._actions = None
-
     def mul(self, i: int, j: int) -> int:
-        words = self._words
-        if words is None:
-            self._ensure_tables()
-            words = self._words
-        for act in words[i]:
+        for act in self._words[i]:
             j = act[j]
         return j
 
     def inv(self, i: int) -> int:
-        table = self._inv_table
-        if table is None:
-            self._ensure_tables()
-            table = self._inv_table
-        return table[i]
+        return self._inv_table[i]
 
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
@@ -338,15 +310,17 @@ class FiniteGroup:
 
     def element(self, i: int) -> GroupElement:
         self.check_index(i)
-        return GroupElement(self.carrier, self.elements[i])
+        return GroupElement(self.carrier, self.carrier.from_key(self.elements[i]))
 
     def element_index(self, el: GroupElement) -> int:
-        if el.carrier != self.carrier or el.data not in self.index:
-            raise ElementNotInGroupError(f"{el!r} not in {self!r}")
-        return self.index[el.data]
+        if el.carrier == self.carrier and len(el.data) == len(self.carrier.identity()):
+            i = self.index.get(self.carrier.to_key(el.data))
+            if i is not None and self.element(i) == el:  # keys of malformed data may collide
+                return i
+        raise ElementNotInGroupError(f"{el!r} not in {self!r}")
 
     def encode(self, i: int) -> bytes:
-        return self.carrier.encode(self.elements[i])
+        return self.element(i).encode()
 
     @property
     def is_abelian(self) -> bool:
@@ -362,6 +336,38 @@ def _inverse_permutation(perm: list[int]) -> list[int]:
     for x, y in enumerate(perm):
         out[y] = x
     return out
+
+
+def _product_words(n: int, actions: list[list[int]]):
+    """The product words and the inverse table of a group of order n.
+
+    The letters start as the recorded left actions.  Whenever the
+    breadth-first search would pass the depth bound, the action of an
+    element at that depth, composed from its word in n lookups per letter,
+    joins the letters with its inverse, so the letters stay closed under
+    inverses like the seeds, and the search restarts.  Each restart puts an
+    element that needed a longer word within reach, so the loop ends.  An
+    inverse is 0 pushed through the reversed word under the letters'
+    inverse permutations.
+    """
+    letters = list(actions)
+    bound = max(8, 2 * n.bit_length())
+    while True:
+        words, deep = _shallow_words(n, letters, bound)
+        if words is not None:
+            break
+        action = range(n)
+        for act in deep:
+            action = list(map(act.__getitem__, action))
+        letters += (action, _inverse_permutation(action))
+    inverses = {id(act): _inverse_permutation(act) for act in letters}
+    inv_table = []
+    for word in words:
+        x = 0
+        for act in reversed(word):
+            x = inverses[id(act)][x]
+        inv_table.append(x)
+    return words, inv_table
 
 
 def _shallow_words(n: int, letters: list[list[int]], bound: int):
@@ -527,11 +533,9 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
     act_s[x] = index(s * e_x) is recorded for each seed s, from which
     `FiniteGroup` builds its product words.
 
-    A permutation seed multiplies through its carrier.  A matrix seed makes
-    no carrier product: the search runs over the elements' column codes and
-    each seed acts through `MatrixCarrier.column_action`, whose memo is
-    dropped on return.  Each element is then converted once to its
-    row-major data, which keys `FiniteGroup.index`.
+    The search runs over the carrier's closure keys, each seed acting
+    through `left_action`.  The keys become `FiniteGroup.elements` and key
+    its index, with no conversion back to data.
 
     The generators' indices, in the given order without repeats or the
     identity, become `FiniteGroup.generators`; no closure is needed to find
@@ -545,21 +549,15 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
     for g in gens[1:]:
         if g.carrier != carrier:
             raise MixedCarriersError("generators live in different carriers")
-    seeds = []
-    for g in gens:
-        if g.data not in seeds:
-            seeds.append(g.data)
+    seeds = list(dict.fromkeys(g.data for g in gens))
+    distinct = len(seeds)
     for g in gens:
         inv = carrier.inv(g.data)
         if inv not in seeds:
             seeds.append(inv)
 
-    if isinstance(carrier, MatrixCarrier):
-        start, decode = carrier.column_codes(carrier.identity()), carrier.from_column_codes
-        steps = [carrier.column_action(s) for s in seeds]
-    else:
-        start, decode = carrier.identity(), None
-        steps = [partial(carrier.mul, s) for s in seeds]
+    start = carrier.to_key(carrier.identity())
+    steps = [carrier.left_action(s) for s in seeds]
     elements = [start]
     index = {start: 0}
     actions = [[] for _ in seeds]
@@ -573,15 +571,15 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
                 if i >= cap:
                     raise CapExceededError(f"closure exceeded cap of {cap} elements")
             act.append(i)
-    if decode is not None:
-        del index  # free the column-code index before the data index is built
-        elements = list(map(decode, elements))
-        index = {x: i for i, x in enumerate(elements)}
-    generators = tuple(dict.fromkeys(i for i in (index[g.data] for g in gens) if i != 0))
+    del steps  # free the column memos before the group builds its words
+    # act_s[0] = index(s), and distinct generator data have distinct indices
+    generators = tuple(i for i in (act[0] for act in actions[:distinct]) if i != 0)
     return FiniteGroup(carrier, elements, index, actions, generators, name=name)
 
 
-def center(group: FiniteGroup) -> Subgroup:
-    """Elements commuting with every generator of the group."""
-    commute, gens = group.commute, group.generators
-    return Subgroup(group, [z for z in range(group.order) if all(commute(z, s) for s in gens)])
+def center(group: FiniteGroup, within: Subgroup | None = None) -> Subgroup:
+    """The centre of `within` (default the whole group): its members that
+    commute with each of its generators."""
+    sub = Subgroup.whole(group) if within is None else within
+    commute, gens = group.commute, sub.generators
+    return Subgroup(group, [z for z in sub.members if all(commute(z, s) for s in gens)])

@@ -54,7 +54,7 @@ def test_centralizer_of_unipotent_gl2_f3(corpus):
     # exactly the matrices [[a, b], [0, a]]: q(q-1) = 6 of them at q = 3
     assert cent.order == 6
     for m in cent.members:
-        a, b, c, d = g.elements[m]
+        a, b, c, d = g.element(m).data
         assert c == 0 and a == d
 
 

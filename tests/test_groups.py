@@ -4,8 +4,9 @@ import random
 import pytest
 
 from commprob import groups as groups_module
+from commprob.conjugacy import centralizer
 from commprob.counting import family_order
-from commprob.errors import CapExceededError, MixedCarriersError
+from commprob.errors import CapExceededError, ElementNotInGroupError, MixedCarriersError
 from commprob.fields import field_create
 from commprob.groups import (
     GroupElement,
@@ -124,6 +125,11 @@ def test_center_examples(corpus):
     cyclic = group_generate([permutation_element([1, 2, 3, 4, 0])])
     assert center(cyclic).order == 5  # abelian: the whole group
     assert cyclic.is_abelian
+    s4 = corpus["s4"]
+    x = s4.element_index(permutation_element([1, 0, 3, 2]))
+    d4 = centralizer(s4, (x,))  # a dihedral group of order 8
+    assert d4.order == 8
+    assert center(s4, within=d4).members == (0, x)
 
 
 def test_extension_field_matrix_group():
@@ -184,6 +190,60 @@ GL2_F5_SPEC = """{
 }"""
 
 
+@pytest.mark.parametrize(
+    "spec", [parse_group_spec(GL2_F4_SPEC), corpus_spec("s4")], ids=["gl2_f4", "s4"]
+)
+def test_element_boundary_round_trip(spec):
+    group = build_group(spec)
+    assert all(group.element_index(group.element(i)) == i for i in range(group.order))
+    assert len({group.encode(i) for i in range(group.order)}) == group.order
+
+
+def test_encode_rejects_indices_outside_the_group(corpus):
+    g = corpus["s3"]
+    for i in (-1, g.order):
+        with pytest.raises(ElementNotInGroupError):
+            g.encode(i)
+        with pytest.raises(ElementNotInGroupError):
+            g.element(i)
+
+
+def test_element_index_rejects_elements_outside_the_group(corpus):
+    f3 = field_create(3, 1)
+    unipotent = group_generate([matrix_element(f3, [[1, 1], [0, 1]])])
+    assert unipotent.order == 3
+    outside = [
+        permutation_element([1, 0, 2]),  # another carrier
+        matrix_element(field_create(5, 1), [[1, 1], [0, 1]]),  # another field
+        matrix_element(f3, [[2, 0], [0, 1]]),  # same carrier, not in the group
+        # malformed data: the identity's column codes, and too short
+        GroupElement(unipotent.carrier, (1, 3, 0, 0)),
+        GroupElement(unipotent.carrier, (1, 0)),
+    ]
+    for el in outside:
+        with pytest.raises(ElementNotInGroupError):
+            unipotent.element_index(el)
+    with pytest.raises(ElementNotInGroupError):
+        corpus["s3"].element_index(unipotent.element(1))
+
+
+def test_closure_keeps_keys_and_converts_only_at_the_boundary(monkeypatch):
+    from_key = groups_module.MatrixCarrier.from_key
+    calls = []
+
+    def counted(carrier, key):
+        calls.append(key)
+        return from_key(carrier, key)
+
+    monkeypatch.setattr(groups_module.MatrixCarrier, "from_key", counted)
+    gens = gl2_generators(3, (1, 0, 1))
+    group = group_generate(gens)
+    assert group.order == 5760
+    assert calls == []
+    assert group.element(group.generators[0]).data == gens[0].data
+    assert len(calls) == 1
+
+
 def conjugated_gl2_f3_generators():
     """h g h^-1 for the corpus generators g of GL2(F3)."""
     f3 = field_create(3, 1)
@@ -209,16 +269,20 @@ def word_bound(group):
 def assert_mul_inv_match_carrier(group, pairs=None, seed=13):
     """Products against carrier products, on every pair or on `pairs` seeded
     ones; every inverse against the carrier inverse; words within the bound."""
-    carrier, elements, index = group.carrier, group.elements, group.index
-    n = group.order
+    carrier, n = group.carrier, group.order
+    elements = [group.element(i).data for i in range(n)]
+
+    def index(data):
+        return group.element_index(GroupElement(carrier, data))
+
     if pairs is None:
         todo = [(a, b) for a in range(n) for b in range(n)]
     else:
         rng = random.Random(seed)
         todo = [(rng.randrange(n), rng.randrange(n)) for _ in range(pairs)]
     for a, b in todo:
-        assert group.mul(a, b) == index[carrier.mul(elements[a], elements[b])], (a, b)
-    assert [group.inv(a) for a in range(n)] == [index[carrier.inv(a)] for a in elements]
+        assert group.mul(a, b) == index(carrier.mul(elements[a], elements[b])), (a, b)
+    assert [group.inv(a) for a in range(n)] == [index(carrier.inv(a)) for a in elements]
     assert max(len(word) for word in group._words) <= word_bound(group)
 
 
@@ -272,11 +336,13 @@ def test_table_build_makes_no_carrier_products(monkeypatch):
     gl2_f5 = build_group(parse_group_spec(GL2_F5_SPEC))
     s7 = group_generate(symmetric_group(7))
     assert (gl2_f5.order, s7.order) == (480, 5040)
+
+    def product_index(group, a, b):
+        data = group.carrier.mul(group.element(a).data, group.element(b).data)
+        return group.element_index(GroupElement(group.carrier, data))
+
     expected = {
-        group: [
-            group.index[group.carrier.mul(group.elements[a], group.elements[b])]
-            for a, b in ((5, 7), (group.order - 1, 3))
-        ]
+        group: [product_index(group, a, b) for a, b in ((5, 7), (group.order - 1, 3))]
         for group in (gl2_f5, s7)
     }
     calls = []
@@ -345,8 +411,9 @@ def test_closure_matches_the_carrier_product_closure(name):
     gens = CLOSURE_CASES[name]()
     group = group_generate(gens)
     elements, index, actions, generators = reference_closure(gens)
-    assert group.elements == elements
-    assert group.index == index
+    assert [group.element(i).data for i in range(group.order)] == elements
+    assert len(group.index) == len(index)
+    assert {x: group.element_index(GroupElement(group.carrier, x)) for x in index} == index
     assert group._actions == actions
     assert group.generators == generators
 
