@@ -5,19 +5,21 @@ psi^k recording dimension differences, so a `PsiMatrix` stores only its
 exponent grid: k for psi^k, -1 for a zero entry.  Entries of powers are
 polynomials with non-negative integer coefficients.  Because nothing can
 cancel, the degree of an entry of B^d is the weight of the heaviest
-length-d walk in the grid.  One integer max-plus kernel, `maxplus_walk`,
-computes every such degree here, so degrees at d = 10**6 are as cheap as at
-d = 3; -1 in a walk marks an entry not reached.
+length-d walk in the grid, an entry of B^d over the max-plus semiring.
+Sequences of degrees walk: `maxplus_walk` holds one vector and takes
+O(beta^2) per step, -1 marking an entry not reached.  A single degree
+squares: `first_column_degree` raises `MaxPlus` entries to the d-th power
+by `exact_power` in O(beta^3 log d): about 20 squarings at d = 10**6.
 
 One exact kernel, `exact_walk` and `exact_power`, multiplies matrices over
-any entries with `+` and `*`: ints for the finite branching matrices, and
-PsiPoly (`psi_walk`, `psi_power`) for the independent check of every
-exactness claim here.  `first_column_degree` and `degree_windows` compare
-every degree they report for d <= 24 with the exact polynomial walk and
-raise on a disagreement.  The tier-1 tests compare
-`diagonal_degree_interval` with the exact symbolised power on every case of
-their random suites, and the max-plus and exact walks from every start
-column with exact powers.
+any entries with `+` and `*`: ints for the finite branching matrices,
+MaxPlus for single degrees, and PsiPoly (`psi_walk`, `psi_power`) for the
+independent check of every exactness claim here.  `first_column_degree`
+and `degree_windows` compare every degree they report for d <= 24 with the
+exact polynomial walk and raise on a disagreement.  The tier-1 tests
+compare `diagonal_degree_interval` with the exact symbolised power on every
+case of their random suites, the max-plus and exact walks from every start
+column with exact powers, and the max-plus powers with the walk.
 
 All values here are immutable and operations pure.
 """
@@ -101,6 +103,31 @@ class PsiPoly:
             else:
                 terms.append(f"{head}psi^{deg}")
         return " + ".join(terms)
+
+
+class MaxPlus:
+    """Entry of the max-plus semiring on walk weights: `+` is max, `*` adds
+    the weights of reached entries, and the falsy zero (weight -1) is "not
+    reached".  Over exponent grids it is the degree of a PsiPoly entry."""
+
+    __slots__ = ("weight",)
+
+    def __init__(self, weight: int):
+        self.weight = weight
+
+    def __bool__(self) -> bool:
+        return self.weight >= 0
+
+    def __add__(self, other: "MaxPlus") -> "MaxPlus":
+        return self if self.weight >= other.weight else other
+
+    def __mul__(self, other: "MaxPlus") -> "MaxPlus":
+        if self.weight < 0 or other.weight < 0:
+            return _MAXPLUS_ZERO
+        return MaxPlus(self.weight + other.weight)
+
+
+_MAXPLUS_ZERO, _MAXPLUS_ONE = MaxPlus(-1), MaxPlus(0)
 
 
 def _monomial(exponent: int) -> PsiPoly:
@@ -270,7 +297,11 @@ def exact_walk(matrix, start: int, steps: int, zero, one):
 
 
 def exact_power(matrix, d: int, zero, one):
-    """B^d (d >= 0) by repeated squaring, over entries as for `exact_walk`."""
+    """B^d (d >= 0) by repeated squaring, over entries as for `exact_walk`.
+
+    Only associativity and distributivity are used, so MaxPlus entries are
+    valid entries too: over them the power holds the heaviest walks.
+    """
     if d < 0:
         raise ValueError("d must be >= 0")
 
@@ -346,20 +377,32 @@ def _cross_check(matrix: PsiMatrix, degrees: list[int]) -> None:
             )
 
 
+def _power_first_column_degree(matrix: PsiMatrix, d: int) -> int:
+    """deg(1 . B^d . e1) as max_i (B^d)[i][0] over the max-plus semiring,
+    by repeated squaring; -1 where the column vanished."""
+    grid = [[MaxPlus(w) for w in row] for row in matrix.grid]
+    power = exact_power(grid, d, _MAXPLUS_ZERO, _MAXPLUS_ONE)
+    return max(row[0].weight for row in power)
+
+
 def first_column_degree(matrix: PsiMatrix, d: int) -> int:
     """deg(1 . B^d . e1), the degree tracked by the dimension bounds.
 
-    Computed tropically; for d <= EXACT_CHECK_DMAX every degree up to d is
-    also computed exactly and any disagreement raises.
+    For d <= EXACT_CHECK_DMAX every degree up to d is walked and also
+    computed exactly, and any disagreement raises.  Beyond that the single
+    degree comes from the max-plus power B^d, in O(beta^3 log d).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    degrees = tropical_first_column_degrees(matrix, d)
     if d <= EXACT_CHECK_DMAX:
+        degrees = tropical_first_column_degrees(matrix, d)
         _cross_check(matrix, degrees)
-    if degrees[-1] < 0:
+        degree = degrees[-1]
+    else:
+        degree = _power_first_column_degree(matrix, d)
+    if degree < 0:
         raise WindowViolatedError(f"first column of {matrix.name} vanished at d={d}")
-    return degrees[-1]
+    return degree
 
 
 def max_entry_degree(matrix: PsiMatrix) -> int:
@@ -442,10 +485,14 @@ def diagonal_degree_interval(entries, l: int, r: int) -> DegreeInterval:
     nonzero and in which every row past the first has a nonzero entry
     before the diagonal.  Entry (l, l) is replaced by an indeterminate, so
     the degree is the largest number of (l, l) loops on a length-r walk
-    from 0 to l: a max-plus walk weighing that loop 1 and every other
-    nonzero entry 0.  It must land in [r - m, r].  The entry can only be
-    the zero polynomial while r is at most the matrix size (no descent path
-    that short exists yet); that case reports degree None.
+    from 0 to l along nonzero entries; coefficients are non-negative, so
+    nothing cancels.  Let delta be the fewest steps from 0 to l.  Deleting
+    every (l, l) loop from such a walk leaves a walk from 0 to l, so at
+    most r - delta loops fit; a shortest path followed by r - delta loops
+    at l fits exactly that many.  The degree is therefore r - delta, and
+    the entry is zero (degree None) while r < delta.  A pre-diagonal entry
+    in row i gives delta(i) <= delta(j) + 1 for some j < i, so
+    delta <= l < m and the degree lands in [r - m, r].
     """
     m = len(entries)
     if r < 2:
@@ -461,24 +508,35 @@ def diagonal_degree_interval(entries, l: int, r: int) -> DegreeInterval:
             raise PreconditionError(f"diagonal entry ({i},{i}) is zero")
         if i > 0 and not any(row[j] for j in range(i)):
             raise PreconditionError(f"row {i} has no entry before the diagonal")
-    weights = [
-        [int((i, j) == (l, l)) if x else -1 for j, x in enumerate(row)]
-        for i, row in enumerate(entries)
-    ]
-    for v in maxplus_walk(weights, 0, r):
-        pass
-    degree = v[l]
-    if degree < 0:
+    delta = _steps_from_first(entries, l)
+    if delta is None or r < delta:
         if r > m:
             raise WindowViolatedError(
                 f"(B^{r})[{l}][0] vanished although r exceeds the size {m}"
             )
         return DegreeInterval(None, r - m, r)
+    degree = r - delta
     if not r - m <= degree <= r:
         raise WindowViolatedError(
             f"degree {degree} of (B^{r})[{l}][0] outside [{r - m}, {r}]"
         )
     return DegreeInterval(degree, r - m, r)
+
+
+def _steps_from_first(entries, target: int) -> int | None:
+    """Fewest steps from 0 to target, a step from k to i wherever
+    entries[i][k] is nonzero; None if target is not reached."""
+    distance = {0: 0}
+    frontier = [0]
+    while frontier and target not in distance:
+        step = distance[frontier[0]] + 1
+        reached = []
+        for i, row in enumerate(entries):
+            if i not in distance and any(row[k] for k in frontier):
+                distance[i] = step
+                reached.append(i)
+        frontier = reached
+    return distance.get(target)
 
 
 def verify_symbolic_structure(matrix: PsiMatrix) -> StructureReport:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commprob.errors import (
     PreconditionError,
@@ -10,12 +11,15 @@ from commprob.errors import (
 )
 from commprob import symbolic
 from commprob.symbolic import (
+    EXACT_CHECK_DMAX,
     NEG_INF,
+    MaxPlus,
     PsiPoly,
     cp_bounds,
     degree_window,
     degree_windows,
     diagonal_degree_interval,
+    exact_power,
     first_column_degree,
     fixture,
     max_entry_degree,
@@ -329,12 +333,88 @@ def test_monotone_degree_growth():
 
 
 def test_window_violation_raises():
-    # a matrix whose first column dies out cannot satisfy the degree law
+    # a matrix whose first column dies out cannot satisfy the degree law,
+    # on the walked path (d <= 24) and on the power path alike
     broken = psi_matrix_from_exponents(
         "broken", [[-1, -1], [1, -1]], group_dim=4, rank=1
     )
-    with pytest.raises(WindowViolatedError):
-        first_column_degree(broken, 2)
+    for d in (2, 30):
+        with pytest.raises(WindowViolatedError, match=f"vanished at d={d}"):
+            first_column_degree(broken, d)
+
+
+# --- single degrees by max-plus powers ---------------------------------------
+
+
+def test_maxplus_semiring():
+    zero, one, two = MaxPlus(-1), MaxPlus(0), MaxPlus(2)
+    assert not zero and one and two
+    assert (zero + two).weight == (two + zero).weight == 2
+    assert (one + two).weight == 2
+    assert (two * two).weight == 4
+    assert (two * one).weight == 2
+    assert not zero * two and not two * zero
+
+
+def test_maxplus_power_is_the_degree_of_the_exact_power():
+    for name in ("gl2", "gl3", "gl4"):
+        matrix = fixture(name)
+        grid = [[MaxPlus(w) for w in row] for row in matrix.grid]
+        for d in range(1, 7):
+            power = exact_power(grid, d, MaxPlus(-1), MaxPlus(0))
+            exact = psi_power(matrix, d)
+            for row, exact_row in zip(power, exact):
+                assert [x.weight for x in row] == exact_degrees(exact_row), (name, d)
+
+
+def test_first_column_degree_power_path_matches_walk():
+    checked = list(range(EXACT_CHECK_DMAX + 1, 201)) + [1000, 4096, 4097]
+    for name in ("gl2", "gl3", "gl4"):
+        matrix = fixture(name)
+        walk = tropical_first_column_degrees(matrix, max(checked))
+        for d in checked:
+            assert first_column_degree(matrix, d) == walk[d - 1], (name, d)
+
+
+def test_large_d_never_walks_past_the_checked_range(monkeypatch):
+    walk = symbolic.maxplus_walk
+
+    def short_walks_only(grid, start, steps):
+        if steps > EXACT_CHECK_DMAX:
+            raise AssertionError(f"walked {steps} steps")
+        return walk(grid, start, steps)
+
+    monkeypatch.setattr(symbolic, "maxplus_walk", short_walks_only)
+    gl4 = fixture("gl4")
+    assert first_column_degree(gl4, 10**6) == 4_999_993
+    lower, upper = cp_bounds(gl4, 10**6)
+    assert (lower, upper) == (Fraction(4_999_993, 16 * 10**6), Fraction(5_000_009, 16 * 10**6))
+
+
+@st.composite
+def exponent_grids(draw):
+    """Square exponent grids with cycles, rows no walk from 0 reaches and,
+    sometimes, a first column of zeros."""
+    size = draw(st.integers(1, 5))
+    cell = st.one_of(st.just(-1), st.integers(0, 4))
+    row = st.lists(cell, min_size=size, max_size=size)
+    grid = draw(st.lists(row, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        for row in grid:
+            row[0] = -1
+    for i in draw(st.sets(st.integers(1, size), max_size=2)):
+        if i < size:  # nothing but a loop leads into row i
+            grid[i] = [w if k == i else -1 for k, w in enumerate(grid[i])]
+    return grid
+
+
+@settings(max_examples=100)
+@given(exponent_grids())
+def test_maxplus_power_matches_walk_on_random_grids(grid):
+    matrix = psi_matrix_from_exponents("random", grid, group_dim=4, rank=1)
+    walk = tropical_first_column_degrees(matrix, 60)
+    power = [symbolic._power_first_column_degree(matrix, d) for d in range(1, 61)]
+    assert power == walk
 
 
 # --- symbolised diagonal entries --------------------------------------------
@@ -390,6 +470,17 @@ def exact_diagonal_degrees(entries, l, rmax):
     return [int(v[l].degree) if v[l] else None for v in psi_walk(sym, 0, rmax)]
 
 
+def reference_diagonal_degrees(entries, l, rmax):
+    """The same degrees by a max-plus walk weighing the (l, l) loop 1 and
+    every other nonzero entry 0: the walk that the shortest-path count
+    replaced, kept as its reference."""
+    weights = [
+        [int((i, j) == (l, l)) if x else -1 for j, x in enumerate(row)]
+        for i, row in enumerate(entries)
+    ]
+    return [v[l] if v[l] >= 0 else None for v in maxplus_walk(weights, 0, rmax)]
+
+
 @pytest.mark.parametrize("m,trials,seed", [(4, 200, 101), (6, 100, 202)])
 def test_diagonal_degree_interval_random_suite(m, trials, seed):
     rng = random.Random(seed)
@@ -397,9 +488,10 @@ def test_diagonal_degree_interval_random_suite(m, trials, seed):
         entries = random_condition_matrix(rng, m)
         for l in range(m):
             exact = exact_diagonal_degrees(entries, l, 10)
+            walked = reference_diagonal_degrees(entries, l, 10)
             for r in range(2, 11):
                 result = diagonal_degree_interval(entries, l, r)  # raises on any violation
-                assert result.degree == exact[r - 1], (entries, l, r)
+                assert result.degree == exact[r - 1] == walked[r - 1], (entries, l, r)
 
 
 def test_gl4_abelian_columns_power_like_scalars():
