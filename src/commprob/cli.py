@@ -108,22 +108,19 @@ def branching_payload(group) -> dict:
 
 def cmd_branching(args) -> int:
     group = _resolve_group(args.group)
-    matrix, registry = branching_matrix(group)
-    report = verify_structure(matrix, registry)
+    report = verify_structure(*branching_matrix(group))
+    payload = branching_payload(group)
     if args.format == "json":
-        _emit([json.dumps(branching_payload(group), indent=2)], args.output)
+        _emit([json.dumps(payload, indent=2)], args.output)
     else:
-        header = "matrix," + ",".join(f"t{i}" for i in range(matrix.size))
-        lines = [header]
-        for i, row in enumerate(matrix.entries):
-            lines.append(f"t{i}," + ",".join(str(x) for x in row))
+        lines = ["matrix," + ",".join(f"t{i}" for i in payload["labels"])]
+        lines += [f"t{i}," + ",".join(map(str, row)) for i, row in enumerate(payload["matrix"])]
         lines.append("")
         lines.append("type,depth,centralizer_order,abelian,representative")
-        for tid, entry in enumerate(registry.types):
-            rep = " ".join(str(x) for x in entry.representative)
+        for t in payload["types"]:
+            rep = " ".join(map(str, t["representative"]))
             lines.append(
-                f"t{tid},{entry.depth},{entry.centralizer.order},"
-                f"{int(entry.centralizer.is_abelian)},{rep}"
+                f"t{t['id']},{t['depth']},{t['centralizer_order']},{int(t['abelian'])},{rep}"
             )
         _emit(lines, args.output)
     if not report.ok:
@@ -135,8 +132,14 @@ def cmd_branching(args) -> int:
 def _refuse_unprintable_counts(group, d: int) -> None:
     """Refuse, before any count is computed, a table up to d whose integers
     could not be printed: every count, numerator and denominator in `cpd`
-    and `ratio` is at most |G|**d."""
-    _refuse_unprintable(group.order, d, f"|G|**{d} = {group.order}**{d}")
+    and `ratio` is at most |G|**d.  Every count of a 1-element group is 1,
+    so its table is held to the rows of a 2-element group instead."""
+    order = group.order
+    if order > 1:
+        what = f"|G|**{d} = {order}**{d}"
+    else:
+        what = f"d={d} for the 1-element group, held to the rows of a 2-element group: 2**{d}"
+    _refuse_unprintable(max(order, 2), d, what)
 
 
 def cmd_cpd(args) -> int:

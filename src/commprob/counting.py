@@ -257,27 +257,20 @@ class FamilyAsymptote:
     base: Fraction
 
 
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
 def family_order(family: str, size: int, q: int) -> int:
     """Group order by the standard product formulas (algebraic in q)."""
     if family == "GL":
         n = size
-        return q ** (n * (n - 1) // 2) * _prod(q**i - 1 for i in range(1, n + 1))
+        return q ** (n * (n - 1) // 2) * math.prod(q**i - 1 for i in range(1, n + 1))
     if family == "U":
         n = size
-        return q ** (n * (n - 1) // 2) * _prod(q**i - (-1) ** i for i in range(1, n + 1))
+        return q ** (n * (n - 1) // 2) * math.prod(q**i - (-1) ** i for i in range(1, n + 1))
     if family == "Sp":
         l = size
-        return q ** (l * l) * _prod(q ** (2 * i) - 1 for i in range(1, l + 1))
+        return q ** (l * l) * math.prod(q ** (2 * i) - 1 for i in range(1, l + 1))
     if family == "O":
         l = size
-        return 2 * q ** (l * (l - 1)) * _prod(q ** (2 * i) - 1 for i in range(1, l + 1))
+        return 2 * q ** (l * (l - 1)) * math.prod(q ** (2 * i) - 1 for i in range(1, l + 1))
     raise InvalidFamilyError(f"unknown family {family!r}")
 
 

@@ -2,11 +2,12 @@
 
 Elements are stored as flat tuples of ints: row-major field-element indices
 for matrices, image arrays for permutations.  A carrier object supplies the
-multiplication, inversion and canonical byte encoding for one kind of
-element, so two elements are equal exactly when their carriers and data
-agree.  All containers here are immutable after construction; only cached
-derived data (classes and each element's class id, subgroup fingerprints,
-the oracle's centralizer DAG) is filled in lazily.
+multiplication and inversion for one kind of element, so two elements are
+equal exactly when their carriers and data agree; an element's canonical
+byte encoding is its data as 4-byte big-endian words.  All containers here
+are immutable after construction; only cached derived data (classes and
+each element's class id, subgroup fingerprints, the oracle's centralizer
+DAG) is filled in lazily.
 
 Generator closure runs over closure keys: each carrier maps an element's
 data to its key (`to_key`) and back (`from_key`), and gives each seed s (a
@@ -118,9 +119,6 @@ class MatrixCarrier:
         image = _ColumnImages(self, s).__getitem__
         return lambda x: tuple(map(image, x))
 
-    def encode(self, a) -> bytes:
-        return b"".join(x.to_bytes(4, "big") for x in a)
-
     def describe(self, a) -> str:
         n = self.n
         return ";".join(",".join(str(x) for x in a[i * n : (i + 1) * n]) for i in range(n))
@@ -196,9 +194,6 @@ class PermutationCarrier:
         """x -> s * x, one carrier product."""
         return partial(self.mul, s)
 
-    def encode(self, a) -> bytes:
-        return b"".join(x.to_bytes(4, "big") for x in a)
-
     def describe(self, a) -> str:
         return ",".join(str(x) for x in a)
 
@@ -211,7 +206,7 @@ class GroupElement:
     data: tuple[int, ...]
 
     def encode(self) -> bytes:
-        return self.carrier.encode(self.data)
+        return b"".join(x.to_bytes(4, "big") for x in self.data)
 
     def __repr__(self) -> str:
         return f"GroupElement({self.carrier.describe(self.data)})"

@@ -6,20 +6,22 @@ exponent grid: k for psi^k, -1 for a zero entry.  Entries of powers are
 polynomials with non-negative integer coefficients.  Because nothing can
 cancel, the degree of an entry of B^d is the weight of the heaviest
 length-d walk in the grid, an entry of B^d over the max-plus semiring.
-Sequences of degrees walk: `maxplus_walk` holds one vector and takes
-O(beta^2) per step, -1 marking an entry not reached.  A single degree
-squares: `first_column_degree` raises `MaxPlus` entries to the d-th power
-by `exact_power` in O(beta^3 log d): about 20 squarings at d = 10**6.
+Degrees are plain ints, -1 marking an entry not reached.  Sequences of
+degrees walk: `maxplus_walk` holds one vector and takes O(beta^2) per step.
+A single degree squares: `first_column_degree` raises the grid to its d-th
+max-plus power in O(beta^3 log d), about 20 squarings at d = 10**6, by the
+repeated-squaring loop that `exact_power` runs too.
 
 One exact kernel, `exact_walk` and `exact_power`, multiplies matrices over
-any entries with `+` and `*`: ints for the finite branching matrices,
-MaxPlus for single degrees, and PsiPoly (`psi_walk`, `psi_power`) for the
-independent check of every exactness claim here.  `first_column_degree`
-and `degree_windows` compare every degree they report for d <= 24 with the
-exact polynomial walk and raise on a disagreement.  The tier-1 tests
-compare `diagonal_degree_interval` with the exact symbolised power on every
-case of their random suites, the max-plus and exact walks from every start
-column with exact powers, and the max-plus powers with the walk.
+any entries with `+` and `*`: ints for the finite branching matrices and
+PsiPoly (`psi_walk`, `psi_power`) for the independent check of every
+exactness claim here.  `first_column_degree` and `degree_windows` compare
+every degree they report for d <= 24 with the exact polynomial walk and
+raise on a disagreement.  The tier-1 tests compare
+`diagonal_degree_interval` with the exact symbolised power on every case
+of their random suites, the max-plus and exact walks from every start
+column with exact powers, and the max-plus powers with the walk and with
+the degrees of the exact powers.
 
 All values here are immutable and operations pure.
 """
@@ -103,31 +105,6 @@ class PsiPoly:
             else:
                 terms.append(f"{head}psi^{deg}")
         return " + ".join(terms)
-
-
-class MaxPlus:
-    """Entry of the max-plus semiring on walk weights: `+` is max, `*` adds
-    the weights of reached entries, and the falsy zero (weight -1) is "not
-    reached".  Over exponent grids it is the degree of a PsiPoly entry."""
-
-    __slots__ = ("weight",)
-
-    def __init__(self, weight: int):
-        self.weight = weight
-
-    def __bool__(self) -> bool:
-        return self.weight >= 0
-
-    def __add__(self, other: "MaxPlus") -> "MaxPlus":
-        return self if self.weight >= other.weight else other
-
-    def __mul__(self, other: "MaxPlus") -> "MaxPlus":
-        if self.weight < 0 or other.weight < 0:
-            return _MAXPLUS_ZERO
-        return MaxPlus(self.weight + other.weight)
-
-
-_MAXPLUS_ZERO, _MAXPLUS_ONE = MaxPlus(-1), MaxPlus(0)
 
 
 def _monomial(exponent: int) -> PsiPoly:
@@ -296,14 +273,23 @@ def exact_walk(matrix, start: int, steps: int, zero, one):
         yield v
 
 
-def exact_power(matrix, d: int, zero, one):
-    """B^d (d >= 0) by repeated squaring, over entries as for `exact_walk`.
-
-    Only associativity and distributivity are used, so MaxPlus entries are
-    valid entries too: over them the power holds the heaviest walks.
-    """
+def _square_and_multiply(matrix, d: int, identity, times):
+    """matrix**d (d >= 0) by repeated squaring under the product `times`,
+    starting from `identity`."""
     if d < 0:
         raise ValueError("d must be >= 0")
+    result, base = identity, matrix
+    while d:
+        if d & 1:
+            result = times(result, base)
+        d >>= 1
+        if d:
+            base = times(base, base)
+    return result
+
+
+def exact_power(matrix, d: int, zero, one):
+    """B^d (d >= 0) by repeated squaring, over entries as for `exact_walk`."""
 
     def times(a, b):
         rows = [[(k, x) for k, x in enumerate(row) if x] for row in a]
@@ -311,15 +297,8 @@ def exact_power(matrix, d: int, zero, one):
         return [[sum((x * col[k] for k, x in row if col[k]), zero) for col in cols] for row in rows]
 
     n = len(matrix)
-    result = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    base = matrix
-    while d:
-        if d & 1:
-            result = times(result, base)
-        d >>= 1
-        if d:
-            base = times(base, base)
-    return tuple(tuple(row) for row in result)
+    identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return tuple(tuple(row) for row in _square_and_multiply(matrix, d, identity, times))
 
 
 def maxplus_walk(grid, start: int, steps: int):
@@ -377,12 +356,26 @@ def _cross_check(matrix: PsiMatrix, degrees: list[int]) -> None:
             )
 
 
+def _maxplus_times(a, b):
+    """Max-plus product of two exponent grids: entry (i, j) is the max of
+    a[i][k] + b[k][j] over the k where both are >= 0, or -1 if there is none."""
+    rows = [[(k, w) for k, w in enumerate(row) if w >= 0] for row in a]
+    cols = list(zip(*b))
+    return [[max([w + c[k] for k, w in row if c[k] >= 0], default=-1) for c in cols] for row in rows]
+
+
+def _maxplus_power(grid, d: int):
+    """The d-th max-plus power of an exponent grid: entry (i, j) is the
+    heaviest length-d walk from j to i, -1 where there is none."""
+    n = len(grid)
+    identity = [[0 if i == j else -1 for j in range(n)] for i in range(n)]
+    return _square_and_multiply(grid, d, identity, _maxplus_times)
+
+
 def _power_first_column_degree(matrix: PsiMatrix, d: int) -> int:
-    """deg(1 . B^d . e1) as max_i (B^d)[i][0] over the max-plus semiring,
-    by repeated squaring; -1 where the column vanished."""
-    grid = [[MaxPlus(w) for w in row] for row in matrix.grid]
-    power = exact_power(grid, d, _MAXPLUS_ZERO, _MAXPLUS_ONE)
-    return max(row[0].weight for row in power)
+    """deg(1 . B^d . e1) as max_i of the max-plus power's entry (i, 0), by
+    repeated squaring; -1 where the column vanished."""
+    return max(row[0] for row in _maxplus_power(matrix.grid, d))
 
 
 def first_column_degree(matrix: PsiMatrix, d: int) -> int:

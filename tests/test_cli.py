@@ -414,6 +414,30 @@ def test_cpd_and_ratio_refuse_unprintable_tables_quickly(capsys, monkeypatch, ar
     assert "Traceback" not in err
 
 
+TRIVIAL_SPEC = '{"name": "T", "kind": "permutation", "degree": 1, "generators": [[0]]}'
+
+
+@pytest.mark.parametrize("command,flag", [("cpd", "--d"), ("ratio", "--dmax")])
+def test_trivial_group_tables_keep_the_row_limit_of_order_two(tmp_path, capsys, command, flag):
+    # every count of the 1-element group is 1, so |G|**d alone would never
+    # refuse; its tables are held to the 14283 rows of a 2-element group
+    path = tmp_path / "trivial.json"
+    path.write_text(TRIVIAL_SPEC)
+    for d in ("14284", "1000000"):
+        start = time.monotonic()
+        code, out, err = invoke(capsys, command, str(path), flag, d)
+        assert code == 2 and out == "" and time.monotonic() - start < 1
+        assert f"d={d} for the 1-element group" in err and "Traceback" not in err
+    code, out, _ = invoke(capsys, command, str(path), flag, "3")
+    assert code == 0
+    if command == "cpd":
+        assert out == "d,class_count,commuting_count,cp\n1,1,1,1\n2,1,1,1\n3,1,1,1\n"
+    else:
+        assert out.splitlines()[:4] == ["d,class_count,ratio,delta", "1,1,1,", "2,1,1,0", "3,1,1,0"]
+    code, out, _ = invoke(capsys, command, str(path), flag, "14283")
+    assert code == 0 and out.count("\n") > 14283
+
+
 def test_cpd_largest_printed_integer_within_the_digit_limit(tmp_path, capsys):
     # 6**5000 has 3891 digits, under the 4300-digit default; cp_d of S3 is
     # c(d-1)/6**(d-1) with c(d) = (3**d + 2**(d+1) - 1)/2

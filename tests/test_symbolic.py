@@ -13,13 +13,11 @@ from commprob import symbolic
 from commprob.symbolic import (
     EXACT_CHECK_DMAX,
     NEG_INF,
-    MaxPlus,
     PsiPoly,
     cp_bounds,
     degree_window,
     degree_windows,
     diagonal_degree_interval,
-    exact_power,
     first_column_degree,
     fixture,
     max_entry_degree,
@@ -346,25 +344,14 @@ def test_window_violation_raises():
 # --- single degrees by max-plus powers ---------------------------------------
 
 
-def test_maxplus_semiring():
-    zero, one, two = MaxPlus(-1), MaxPlus(0), MaxPlus(2)
-    assert not zero and one and two
-    assert (zero + two).weight == (two + zero).weight == 2
-    assert (one + two).weight == 2
-    assert (two * two).weight == 4
-    assert (two * one).weight == 2
-    assert not zero * two and not two * zero
-
-
 def test_maxplus_power_is_the_degree_of_the_exact_power():
     for name in ("gl2", "gl3", "gl4"):
         matrix = fixture(name)
-        grid = [[MaxPlus(w) for w in row] for row in matrix.grid]
         for d in range(1, 7):
-            power = exact_power(grid, d, MaxPlus(-1), MaxPlus(0))
+            power = symbolic._maxplus_power(matrix.grid, d)
             exact = psi_power(matrix, d)
-            for row, exact_row in zip(power, exact):
-                assert [x.weight for x in row] == exact_degrees(exact_row), (name, d)
+            for row, exact_row in zip(power, exact, strict=True):
+                assert row == exact_degrees(exact_row), (name, d)
 
 
 def test_first_column_degree_power_path_matches_walk():
