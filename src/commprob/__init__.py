@@ -30,6 +30,7 @@ from .counting import (
     RatioReport,
     asymptotic_ratio,
     class_count,
+    class_count_form,
     class_count_sequence,
     commuting_count,
     commuting_tuple_total,

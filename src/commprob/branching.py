@@ -109,6 +109,9 @@ class BranchingMatrix:
 
     def __init__(self, entries):
         self.entries = tuple(tuple(int(x) for x in row) for row in entries)
+        # the certified (bases, numerators, denominator) of c(d), set on
+        # first use by `counting.class_count_form`
+        self._count_form = None
 
     @property
     def size(self) -> int:

@@ -3,6 +3,23 @@
 c(d) counts simultaneous conjugacy classes of commuting d-tuples and equals
 1 . B^d . e1 over the branching matrix B; the number of commuting d-tuples
 is |G| * c(d-1) and the commuting probability is that count over |G|^d.
+
+A single count is read off an exact exponential sum,
+c(d) = sum over z of kappa_z * z^d, where z runs over the m distinct
+diagonal values |Z(H_tau)| of B and each kappa_z is rational
+(`class_count_form`).  The sum is proved, not fitted: m sparse products
+check that p(B) e1 = 0 for p(x) = prod over z of (x - z), so c(d) obeys
+the linear recurrence with the distinct roots z at every d >= 0, and the
+kappa_z then follow from c(0), ..., c(m-1) by Lagrange interpolation in
+integers.  For a branching matrix the check cannot fail: along an edge
+H_a < H_tau^g the centres strictly shrink (C_G(H) = Z(H) for a
+centralizer), so no path joins two equal diagonal values.  If it fails
+anyway, the matrix is refused with `CertificateError`.  The form is built
+once per matrix and cached on it; `class_count`, `commuting_count` and
+`cp` then cost m powers and one exact division, whatever d is.
+`class_count_sequence` still walks B, because it returns every value up
+to d.
+
 An independent cross-check comes from Burnside orbit counting: the orbit
 count of G on commuting d-tuples is |C_{d+1}(G)| / |G| where
 |C_{k+1}(H)| = sum over g in H of |C_k(Z_H(g))|.  The oracle represents
@@ -25,15 +42,83 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .branching import branching_matrix
-from .errors import CapExceededError, InexactDivisionError, InvalidFamilyError, OutputTooLargeError
+from .branching import BranchingMatrix, branching_matrix
+from .errors import (
+    CapExceededError,
+    CertificateError,
+    InexactDivisionError,
+    InvalidFamilyError,
+    OutputTooLargeError,
+)
 from .fields import is_prime_power
 from .groups import FiniteGroup, Subgroup
 
 
 def class_count(group: FiniteGroup, d: int) -> int:
-    """Number of simultaneous conjugacy classes of commuting d-tuples."""
-    return class_count_sequence(group, d)[d]
+    """Number of simultaneous conjugacy classes of commuting d-tuples, from
+    the group's certified exponential sum (`class_count_form`)."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    bases, numerators, denominator = _certified_form(branching_matrix(group)[0])
+    total = sum(n * z**d for z, n in zip(bases, numerators))
+    count, remainder = divmod(total, denominator)
+    if remainder:
+        raise InexactDivisionError(f"c({d}) = {total}/{denominator} is not an integer")
+    return count
+
+
+def class_count_form(group: FiniteGroup) -> dict[int, Fraction]:
+    """{z: kappa_z}, largest base first, with c(d) = sum of kappa_z * z**d
+    at every d >= 0; z runs over the distinct diagonal values of the
+    branching matrix.  The first entry is the leading term: z is the
+    largest abelian centralizer order a, and kappa_a is the limit of
+    c(d)/a^d."""
+    bases, numerators, denominator = _certified_form(branching_matrix(group)[0])
+    return {z: Fraction(n, denominator) for z, n in zip(bases, numerators)}
+
+
+def _certified_form(matrix: BranchingMatrix) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(bases, numerators, denominator) with c(d) = sum of n * z**d over
+    denominator, cached on the matrix.
+
+    Certificate: with v = e1, (B - z) v is applied once per distinct
+    diagonal value z, and v must end at 0.  Then every c(d) obeys the
+    recurrence whose characteristic polynomial is prod (x - z), and its
+    roots are distinct.  kappa_z = sum_k coef_k * c(k) / prod over w != z
+    of (z - w), where coef_k are the coefficients of prod over w != z of
+    (x - w), so only c(0), ..., c(m-1) are walked.
+    """
+    if matrix._count_form is not None:
+        return matrix._count_form
+    entries = matrix.entries
+    bases = sorted({entries[i][i] for i in range(matrix.size)}, reverse=True)
+    edges = [[(k, x) for k, x in enumerate(row) if x] for row in entries]
+    v = [1] + [0] * (matrix.size - 1)
+    for z in bases:
+        v = [sum(x * v[k] for k, x in row) - z * v[i] for i, row in enumerate(edges)]
+    if any(v):
+        raise CertificateError(
+            f"count-form certificate failed for {matrix!r}: the product of (B - z) over the "
+            f"diagonal values {bases} leaves {v} on e1, so c(d) is not a sum of z**d terms"
+        )
+    counts = matrix.first_column_sums(len(bases) - 1)
+    sums, scales = [], []
+    for z in bases:
+        coefs = [1]  # prod over w != z of (x - w), lowest degree first
+        for w in bases:
+            if w != z:
+                coefs = [a - w * b for a, b in zip([0] + coefs, coefs + [0])]
+        sums.append(sum(c * u for c, u in zip(coefs, counts)))
+        scales.append(math.prod(z - w for w in bases if w != z))
+    denominator = math.lcm(*scales)
+    numerators = [t * (denominator // s) for t, s in zip(sums, scales)]
+    common = math.gcd(denominator, *numerators)
+    matrix._count_form = (
+        tuple(bases),
+        tuple(n // common for n in numerators),
+        denominator // common,
+    )
+    return matrix._count_form
 
 
 def class_count_sequence(group: FiniteGroup, dmax: int) -> list[int]:
@@ -109,9 +194,10 @@ def _commutation_masks(group: FiniteGroup) -> list[int]:
     tabulated as a permutation of the indices.  An element that every such
     permutation fixes is central: it commutes with everything.  Each other
     class is the orbit of its first element r under the permutations.  C(r)
-    comes from testing every non-central element against r, and the member
-    list of each other element of the class is its parent's list pushed
-    through the permutation that reached it.  That makes
+    comes from testing each non-central element against r: one whose class
+    is finished has bit r read from its mask, any other costs two products.
+    The member list of each other element of the class is its parent's
+    list pushed through the permutation that reached it.  That makes
     2|G|(|generators| + k(G)) products at most, where testing every pair
     would make |G|(|G| - 1).  Only `mul`, `inv` and `generators` are used.
     """
@@ -121,13 +207,21 @@ def _commutation_masks(group: FiniteGroup) -> list[int]:
         s_inv = inv(s)
         conj.append([mul(mul(s, x), s_inv) for x in range(n)])
     full, n_bytes = (1 << n) - 1, (n + 7) // 8
-    comm = [full if all(p[x] == x for p in conj) else 0 for x in range(n)]
+    comm = [full if all(p[x] == x for p in conj) else None for x in range(n)]
     central = [x for x in range(n) if comm[x]]
     noncentral = [x for x in range(n) if not comm[x]]
+    # a finished non-central mask is held as bytes until the end, so that
+    # its bit r is read in O(1) where the scan at r meets it
     for r in noncentral:
-        if comm[r]:
+        if comm[r] is not None:
             continue
-        members = {r: central + [x for x in noncentral if mul(x, r) == mul(r, x)]}
+        byte, bit = r >> 3, 1 << (r & 7)
+        found = [
+            x
+            for x in noncentral
+            if (comm[x][byte] & bit if comm[x] is not None else mul(x, r) == mul(r, x))
+        ]
+        members = {r: central + found}
         orbit = [r]
         for y in orbit:  # also visits the class elements appended below
             below = members[y]
@@ -139,7 +233,9 @@ def _commutation_masks(group: FiniteGroup) -> list[int]:
             bits = bytearray(n_bytes)
             for m in below:
                 bits[m >> 3] |= 1 << (m & 7)
-            comm[y] = int.from_bytes(bits, "little")
+            comm[y] = bits
+    for x in noncentral:  # one at a time: each bytearray is freed as it goes
+        comm[x] = int.from_bytes(comm[x], "little")
     return comm
 
 

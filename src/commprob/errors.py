@@ -53,6 +53,10 @@ class OutputTooLargeError(ToolkitError):
     """A result would have more digits than integers may be printed with."""
 
 
+class CertificateError(ToolkitError):
+    """An exact form failed the check that proves it; signals a construction bug."""
+
+
 class InexactDivisionError(ToolkitError):
     """An orbit count came out non-integral; signals an arithmetic bug."""
 

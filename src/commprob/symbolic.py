@@ -8,9 +8,9 @@ cancel, the degree of an entry of B^d is the weight of the heaviest
 length-d walk in the grid, an entry of B^d over the max-plus semiring.
 Degrees are plain ints, -1 marking an entry not reached.  Sequences of
 degrees walk: `maxplus_walk` holds one vector and takes O(beta^2) per step.
-A single degree squares: `first_column_degree` raises the grid to its d-th
-max-plus power in O(beta^3 log d), about 20 squarings at d = 10**6, by the
-repeated-squaring loop that `exact_power` runs too.
+A single degree squares: `first_column_degree` forms the max-plus column
+B^d e1, squaring only the grid, in O(beta^3 log d), about 20 squarings at
+d = 10**6, by the repeated-squaring loop that `exact_power` runs too.
 
 One exact kernel, `exact_walk` and `exact_power`, multiplies matrices over
 any entries with `+` and `*`: ints for the finite branching matrices and
@@ -273,15 +273,17 @@ def exact_walk(matrix, start: int, steps: int, zero, one):
         yield v
 
 
-def _square_and_multiply(matrix, d: int, identity, times):
-    """matrix**d (d >= 0) by repeated squaring under the product `times`,
-    starting from `identity`."""
+def _square_and_multiply(matrix, d: int, start, times):
+    """matrix**d . start (d >= 0) by repeated squaring under the product
+    `times`.  `start` is the identity for the plain power, or a column:
+    powers of one matrix commute, so each step multiplies the result on
+    the left and only the base is squared."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    result, base = identity, matrix
+    result, base = start, matrix
     while d:
         if d & 1:
-            result = times(result, base)
+            result = times(base, result)
         d >>= 1
         if d:
             base = times(base, base)
@@ -373,9 +375,11 @@ def _maxplus_power(grid, d: int):
 
 
 def _power_first_column_degree(matrix: PsiMatrix, d: int) -> int:
-    """deg(1 . B^d . e1) as max_i of the max-plus power's entry (i, 0), by
-    repeated squaring; -1 where the column vanished."""
-    return max(row[0] for row in _maxplus_power(matrix.grid, d))
+    """deg(1 . B^d . e1) as max_i of the max-plus column B^d e1, by
+    repeated squaring of B applied to the column e1; -1 where the column
+    vanished."""
+    column = [[0]] + [[-1]] * (len(matrix.grid) - 1)
+    return max(row[0] for row in _square_and_multiply(matrix.grid, d, column, _maxplus_times))
 
 
 def first_column_degree(matrix: PsiMatrix, d: int) -> int:
@@ -383,7 +387,7 @@ def first_column_degree(matrix: PsiMatrix, d: int) -> int:
 
     For d <= EXACT_CHECK_DMAX every degree up to d is walked and also
     computed exactly, and any disagreement raises.  Beyond that the single
-    degree comes from the max-plus power B^d, in O(beta^3 log d).
+    degree comes from the max-plus column B^d e1, in O(beta^3 log d).
     """
     if d < 1:
         raise ValueError("d must be >= 1")

@@ -172,15 +172,15 @@ def naive_orbit_count(group, d):
     return len(tuples), orbits
 
 
-def bruteforce_max_abelian_order(group):
-    """Largest abelian subgroup order via search over the abelian lattice.
+def bruteforce_abelian_subgroups(group):
+    """Member sets of every abelian subgroup, by search over the abelian
+    lattice.
 
     Starts from every cyclic subgroup and extends by commuting elements; an
     abelian subgroup equal to its own centralizer cannot grow.
     """
     frontier = {subgroup_closure(group, [g]) for g in range(group.order)}
     seen = set(frontier)
-    best = max(len(s) for s in seen)
     while frontier:
         fresh = set()
         for sub in frontier:
@@ -196,6 +196,10 @@ def bruteforce_max_abelian_order(group):
                 if ext not in seen:
                     seen.add(ext)
                     fresh.add(ext)
-                    best = max(best, len(ext))
         frontier = fresh
-    return best
+    return seen
+
+
+def bruteforce_max_abelian_order(group):
+    """Largest abelian subgroup order, from `bruteforce_abelian_subgroups`."""
+    return max(len(s) for s in bruteforce_abelian_subgroups(group))

@@ -6,7 +6,7 @@ stops calling a timed name, whose span would then silently read 0."""
 import importlib
 from pathlib import Path
 
-from commprob import branching, conjugacy, fields, groups, symbolic
+from commprob import branching, conjugacy, counting, fields, groups, symbolic
 
 from conftest import recording
 
@@ -47,6 +47,22 @@ def test_degree_window_calls_the_names_the_tracer_times(monkeypatch):
         monkeypatch.setattr(symbolic, attr, counted)
     symbolic.degree_window(symbolic.fixture("gl4"), 12)
     assert calls == {"tropical_first_column_degrees": 1, "_exact_first_column_degree": 1}
+
+
+def test_single_counts_call_the_name_the_tracer_times(corpus, monkeypatch):
+    # the counting.sequence span times class_count, so commuting_count and
+    # cp must reach it through the module namespace
+    calls = []
+    original = counting.class_count
+
+    def counted(group, d):
+        calls.append(d)
+        return original(group, d)
+
+    monkeypatch.setattr(counting, "class_count", counted)
+    counting.commuting_count(corpus["s4"], 3)
+    counting.cp(corpus["s4"], 4)
+    assert calls == [2, 3]
 
 
 def test_transporter_search_is_skipped_exactly_when_the_tracer_says(corpus):

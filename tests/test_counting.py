@@ -10,6 +10,7 @@ from commprob.counting import (
     FamilySpec,
     asymptotic_ratio,
     class_count,
+    class_count_form,
     class_count_sequence,
     commuting_count,
     commuting_tuple_total,
@@ -24,12 +25,13 @@ from commprob.counting import (
     oracle_class_counts,
 )
 from commprob.conjugacy import conjugacy_classes
-from commprob.errors import CapExceededError, InvalidFamilyError
+from commprob.errors import CapExceededError, CertificateError, InvalidFamilyError
 from commprob.fields import field_create
 from commprob.groups import FiniteGroup, group_generate, matrix_element, permutation_element
 from commprob.groupspec import corpus_group
 
 from conftest import (
+    bruteforce_abelian_subgroups,
     bruteforce_max_abelian_order,
     gl2,
     gl3_generators,
@@ -66,6 +68,101 @@ def test_s3_closed_form(corpus):
     for d in range(0, 21):
         expected = Fraction(-1, 2) + 2**d + Fraction(3**d, 2)
         assert class_count(s3, d) == expected
+
+
+# --- the certified exponential sum c(d) = sum of kappa_z * z^d -------------
+
+
+def test_class_count_form_matches_the_walk_to_d_200(corpus, large_groups):
+    groups = dict(corpus, s7=large_groups["s7"])
+    for name, group in groups.items():
+        walk = class_count_sequence(group, 200)
+        assert [class_count(group, d) for d in range(201)] == walk, name
+        form = class_count_form(group)
+        diagonal = {row[i] for i, row in enumerate(branching_matrix(group)[0].entries)}
+        assert sorted(form, reverse=True) == list(form) == sorted(diagonal, reverse=True), name
+        assert [sum(k * z**d for z, k in form.items()) for d in range(4)] == walk[:4], name
+
+
+def test_class_count_at_d_100000_matches_the_matrix_power(corpus):
+    group = corpus["gl2_f3"]
+    d = 10**5
+    column_sum = sum(row[0] for row in branching_matrix(group)[0].power(d))
+    assert class_count(group, d) == column_sum
+    assert commuting_count(group, d + 1) == group.order * column_sum
+
+
+def test_single_counts_walk_no_further_than_the_form_needs(monkeypatch):
+    group = corpus_group("gl3_f2")  # fresh: no form cached on it
+    matrix, _ = branching_matrix(group)
+    steps = []
+    walk = branching.BranchingMatrix.first_column_sums
+
+    def recorded(self, dmax):
+        steps.append(dmax)
+        return walk(self, dmax)
+
+    monkeypatch.setattr(branching.BranchingMatrix, "first_column_sums", recorded)
+    values = [class_count(group, 1000), commuting_count(group, 900), cp(group, 800)]
+    assert steps == [len(class_count_form(group)) - 1] and steps[0] < matrix.size
+    monkeypatch.undo()
+    walk = class_count_sequence(group, 1000)
+    assert values == [walk[1000], 168 * walk[899], Fraction(168 * walk[799], 168**800)]
+
+
+def test_certificate_refuses_a_jordan_block():
+    with pytest.raises(CertificateError, match="count-form certificate failed"):
+        counting._certified_form(branching.BranchingMatrix([[2, 0], [1, 2]]))
+    # equal diagonal values off every path are fine, and so are distinct ones
+    diagonal = branching.BranchingMatrix([[2, 0], [0, 2]])
+    assert counting._certified_form(diagonal) == ((2,), (1,), 1)
+    triangular = branching.BranchingMatrix([[2, 0], [1, 3]])  # c(d) = 3^d
+    assert counting._certified_form(triangular) == ((3, 2), (1, 0), 1)
+
+
+def test_a_matrix_failing_the_certificate_gets_no_count():
+    # no fallback: a group whose cached matrix fails the check has no c(d)
+    group = group_generate(symmetric_group(3))
+    registry = branching_matrix(group)[1]
+    group._branching = (branching.BranchingMatrix([[2, 0], [1, 2]]), registry)
+    for count, d in ((class_count, 3), (cp, 2), (commuting_count, 2)):
+        with pytest.raises(CertificateError):
+            count(group, d)
+    with pytest.raises(CertificateError):
+        class_count_form(group)
+
+
+def test_class_count_form_of_the_trivial_group():
+    trivial = group_generate([permutation_element([0])])
+    assert class_count_form(trivial) == {1: 1}
+    assert [class_count(trivial, d) for d in (0, 1, 10**6)] == [1, 1, 1]
+    assert cp(trivial, 10**6) == 1
+    with pytest.raises(ValueError, match="d must be >= 0"):
+        class_count(trivial, -1)
+
+
+@pytest.mark.parametrize(
+    "name,kappa",
+    [("s4", Fraction(7, 6)), ("q8", Fraction(3, 2)), ("gl2_f3", Fraction(1, 2)),
+     ("gl3_f2", Fraction(1, 3))],
+)
+def test_leading_coefficient_is_the_normalizer_sum(corpus, name, kappa):
+    # sum of 1/[N_G(A):A] over the conjugacy classes of abelian subgroups A
+    # of the largest order a, with the subgroups and normalizers found by
+    # brute force
+    group = corpus[name]
+    abelian = bruteforce_abelian_subgroups(group)
+    a = max(len(sub) for sub in abelian)
+    largest = {sub for sub in abelian if len(sub) == a}
+    total = Fraction(0)
+    while largest:
+        sub = largest.pop()
+        images = [frozenset(group.conj(g, x) for x in sub) for g in range(group.order)]
+        largest -= set(images)
+        normalizer = images.count(sub)
+        total += Fraction(a, normalizer)
+    a_form, leading = next(iter(class_count_form(group).items()))
+    assert (a_form, leading) == (a, total) == (a, kappa)
 
 
 def test_oracle_trivial_group():
