@@ -68,6 +68,7 @@ from .symbolic import (
     PsiMatrix,
     PsiPoly,
     cp_bounds,
+    degree_envelope,
     degree_window,
     degree_windows,
     diagonal_degree_interval,

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conjugacy import centralizer, commuting_tuple, conjugacy_classes, subgroup_conjugate, z_classes
-from .errors import UnknownTypeError
+from .errors import PreconditionError, UnknownTypeError
 from .groups import FiniteGroup, Subgroup, center
 from .report import CheckResult, StructureReport
-from .symbolic import exact_power, exact_walk
+from .symbolic import exact_power, exact_walk, topological_order
 
 
 @dataclass(frozen=True)
@@ -203,6 +203,15 @@ def verify_structure(matrix: BranchingMatrix, registry: TypeRegistry) -> Structu
     checks.append(
         CheckResult("prediagonal_entry_every_row", not bad, f"rows {bad}" if bad else "")
     )
+
+    # a nonzero entry (a, tau) off the diagonal puts C(a) properly inside a
+    # conjugate of C(tau), so the only cycles are loops
+    detail = ""
+    try:
+        topological_order([[k for k, x in enumerate(row) if x] for row in entries])
+    except PreconditionError as exc:
+        detail = str(exc)
+    checks.append(CheckResult("acyclic_apart_from_loops", not detail, detail))
 
     ok, detail = True, ""
     for j in range(beta):

@@ -8,9 +8,13 @@ cancel, the degree of an entry of B^d is the weight of the heaviest
 length-d walk in the grid, an entry of B^d over the max-plus semiring.
 Degrees are plain ints, -1 marking an entry not reached.  Sequences of
 degrees walk: `maxplus_walk` holds one vector and takes O(beta^2) per step.
-A single degree squares: `first_column_degree` forms the max-plus column
-B^d e1, squaring only the grid, in O(beta^3 log d), about 20 squarings at
-d = 10**6, by the repeated-squaring loop that `exact_power` runs too.
+A single degree past the walked range comes from the loop envelope.  A
+branching matrix has no cycle but its loops, so for every d >= beta,
+deg(1 . B^d . e1) = max_w (w*d + b_w), w over the loop weights;
+`degree_envelope` finds the lines once in O(beta^3) by longest paths in a
+topological order, and refuses a grid with any other cycle.
+`first_column_degree` reads one d > 24 off the lines, and `degree_windows`
+walks only to max(24, beta - 1) and reads the rest.
 
 One exact kernel, `exact_walk` and `exact_power`, multiplies matrices over
 any entries with `+` and `*`: ints for the finite branching matrices and
@@ -20,8 +24,8 @@ every degree they report for d <= 24 with the exact polynomial walk and
 raise on a disagreement.  The tier-1 tests compare
 `diagonal_degree_interval` with the exact symbolised power on every case
 of their random suites, the max-plus and exact walks from every start
-column with exact powers, and the max-plus powers with the walk and with
-the degrees of the exact powers.
+column with exact powers, and the envelope with the walk for every
+d >= beta.
 
 All values here are immutable and operations pure.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import PreconditionError, UnknownFixtureError, WindowViolatedError
 from .report import CheckResult, StructureReport
@@ -50,6 +55,17 @@ class PsiPoly:
             if c:
                 clean[int(deg)] = int(c)
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, int]) -> "PsiPoly":
+        """Wrap a dict of int exponents to positive int coefficients as is.
+
+        Only sums and products of PsiPolys come here: adding or multiplying
+        positive coefficients gives positive ones, so `__init__`'s checks
+        would find nothing to drop or refuse."""
+        poly = object.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
 
     @classmethod
     def zero(cls) -> "PsiPoly":
@@ -77,19 +93,19 @@ class PsiPoly:
         out = dict(self.coeffs)
         for deg, c in other.coeffs.items():
             out[deg] = out.get(deg, 0) + c
-        return PsiPoly(out)
+        return PsiPoly._trusted(out)
 
     def __mul__(self, other: "PsiPoly") -> "PsiPoly":
         if not self.coeffs or not other.coeffs:
-            return PsiPoly()
+            return PsiPoly._trusted({})
         if len(other.coeffs) == 1:
             (deg, c), = other.coeffs.items()
-            return PsiPoly({d + deg: x * c for d, x in self.coeffs.items()})
+            return PsiPoly._trusted({d + deg: x * c for d, x in self.coeffs.items()})
         out: dict[int, int] = {}
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
                 out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-        return PsiPoly(out)
+        return PsiPoly._trusted(out)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -273,25 +289,10 @@ def exact_walk(matrix, start: int, steps: int, zero, one):
         yield v
 
 
-def _square_and_multiply(matrix, d: int, start, times):
-    """matrix**d . start (d >= 0) by repeated squaring under the product
-    `times`.  `start` is the identity for the plain power, or a column:
-    powers of one matrix commute, so each step multiplies the result on
-    the left and only the base is squared."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    result, base = start, matrix
-    while d:
-        if d & 1:
-            result = times(base, result)
-        d >>= 1
-        if d:
-            base = times(base, base)
-    return result
-
-
 def exact_power(matrix, d: int, zero, one):
     """B^d (d >= 0) by repeated squaring, over entries as for `exact_walk`."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
 
     def times(a, b):
         rows = [[(k, x) for k, x in enumerate(row) if x] for row in a]
@@ -299,8 +300,15 @@ def exact_power(matrix, d: int, zero, one):
         return [[sum((x * col[k] for k, x in row if col[k]), zero) for col in cols] for row in rows]
 
     n = len(matrix)
-    identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return tuple(tuple(row) for row in _square_and_multiply(matrix, d, identity, times))
+    result = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    base = matrix
+    while d:
+        if d & 1:
+            result = times(base, result)
+        d >>= 1
+        if d:
+            base = times(base, base)
+    return tuple(tuple(row) for row in result)
 
 
 def maxplus_walk(grid, start: int, steps: int):
@@ -358,45 +366,90 @@ def _cross_check(matrix: PsiMatrix, degrees: list[int]) -> None:
             )
 
 
-def _maxplus_times(a, b):
-    """Max-plus product of two exponent grids: entry (i, j) is the max of
-    a[i][k] + b[k][j] over the k where both are >= 0, or -1 if there is none."""
-    rows = [[(k, w) for k, w in enumerate(row) if w >= 0] for row in a]
-    cols = list(zip(*b))
-    return [[max([w + c[k] for k, w in row if c[k] >= 0], default=-1) for c in cols] for row in rows]
+def topological_order(predecessors) -> list[int]:
+    """The nodes 0..n-1 in an order in which every edge k -> i, for k in
+    predecessors[i] and k != i, runs forward; loops are ignored.
+
+    Raises PreconditionError naming the rows of one cycle that is not a
+    loop, if there is one and so no such order.
+    """
+    graph = {i: [k for k in ks if k != i] for i, ks in enumerate(predecessors)}
+    try:
+        return list(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        rows = sorted(set(exc.args[1]))
+        raise PreconditionError(f"rows {rows} lie on a cycle that is not a loop") from None
 
 
-def _maxplus_power(grid, d: int):
-    """The d-th max-plus power of an exponent grid: entry (i, j) is the
-    heaviest length-d walk from j to i, -1 where there is none."""
-    n = len(grid)
-    identity = [[0 if i == j else -1 for j in range(n)] for i in range(n)]
-    return _square_and_multiply(grid, d, identity, _maxplus_times)
+def degree_envelope(matrix: PsiMatrix) -> dict[int, int]:
+    """{w: b_w}, largest slope first, with deg(1 . B^d . e1) = max_w (w*d + b_w)
+    for every d >= beta; empty if no walk from 0 reaches a loop.
+
+    The grid must have no cycle but its loops (PreconditionError otherwise,
+    from `topological_order`), as every branching matrix does.  A length-d
+    walk from 0 is then a path of p <= beta - 1 edges through distinct
+    rows with d - p loops spread over them, and it weighs at most the path
+    plus d - p times its heaviest loop weight w, which a walk reaches by
+    spending every loop on one row m of loop weight w.  With each path
+    edge weighing e - w, that walk weighs w*d plus the heaviest path from
+    0 through m; b_w is the best such path over the rows m of loop weight
+    w.  For d >= beta every walk takes a loop, so the lines give the
+    degree exactly; below beta a loop-free path may beat them.  The
+    longest paths to and from every row follow the topological order, so
+    each distinct w costs O(beta^2).
+    """
+    grid = matrix.grid
+    size = len(grid)
+    edges_into = [[] for _ in range(size)]
+    edges_out = [[] for _ in range(size)]
+    for i, row in enumerate(grid):
+        for k, e in enumerate(row):
+            if e >= 0 and k != i:  # the edge k -> i; loops give the slopes
+                edges_into[i].append((k, e))
+                edges_out[k].append((i, e))
+    order = topological_order([[k for k, _ in edges] for edges in edges_into])
+    lines = {}
+    for w in sorted({grid[m][m] for m in range(size) if grid[m][m] >= 0}, reverse=True):
+        into = {0: 0}  # heaviest paths from 0; rows no walk reaches stay out
+        for i in order:
+            steps = [into[k] + e - w for k, e in edges_into[i] if k in into]
+            if steps:
+                into[i] = max(steps)
+        out = [0] * size
+        for k in reversed(order):
+            out[k] = max([0] + [out[i] + e - w for i, e in edges_out[k]])
+        ends = [into[m] + out[m] for m in into if grid[m][m] == w]
+        if ends:
+            lines[w] = max(ends)
+    return lines
 
 
-def _power_first_column_degree(matrix: PsiMatrix, d: int) -> int:
-    """deg(1 . B^d . e1) as max_i of the max-plus column B^d e1, by
-    repeated squaring of B applied to the column e1; -1 where the column
-    vanished."""
-    column = [[0]] + [[-1]] * (len(matrix.grid) - 1)
-    return max(row[0] for row in _square_and_multiply(matrix.grid, d, column, _maxplus_times))
+def _envelope_degree(lines: dict[int, int], d: int) -> int:
+    return max((w * d + b for w, b in lines.items()), default=-1)
+
+
+def _walked_dmax(matrix: PsiMatrix) -> int:
+    """The largest d whose degree is walked rather than read off the
+    envelope: the checked range and the d < beta the lines miss."""
+    return max(EXACT_CHECK_DMAX, matrix.size - 1)
 
 
 def first_column_degree(matrix: PsiMatrix, d: int) -> int:
     """deg(1 . B^d . e1), the degree tracked by the dimension bounds.
 
     For d <= EXACT_CHECK_DMAX every degree up to d is walked and also
-    computed exactly, and any disagreement raises.  Beyond that the single
-    degree comes from the max-plus column B^d e1, in O(beta^3 log d).
+    computed exactly, and any disagreement raises; d < beta is walked too.
+    Every larger d reads the single degree off `degree_envelope`, in
+    O(beta^3) whatever d is.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d <= EXACT_CHECK_DMAX:
+    if d <= _walked_dmax(matrix):
         degrees = tropical_first_column_degrees(matrix, d)
         _cross_check(matrix, degrees)
         degree = degrees[-1]
     else:
-        degree = _power_first_column_degree(matrix, d)
+        degree = _envelope_degree(degree_envelope(matrix), d)
     if degree < 0:
         raise WindowViolatedError(f"first column of {matrix.name} vanished at d={d}")
     return degree
@@ -454,9 +507,14 @@ def degree_window(matrix: PsiMatrix, d: int) -> DegreeWindow:
 
 def degree_windows(matrix: PsiMatrix, dmax: int):
     """Yield degree_window(matrix, d) for d = 1..dmax from one walk, with
-    every d <= EXACT_CHECK_DMAX cross-checked in one exact pass."""
-    degrees = tropical_first_column_degrees(matrix, dmax)
+    every d <= EXACT_CHECK_DMAX cross-checked in one exact pass.  The walk
+    stops at max(EXACT_CHECK_DMAX, beta - 1); later d read the envelope."""
+    walked = min(dmax, _walked_dmax(matrix))
+    degrees = tropical_first_column_degrees(matrix, walked)
     _cross_check(matrix, degrees)
+    if dmax > walked:
+        lines = degree_envelope(matrix)
+        degrees += [_envelope_degree(lines, d) for d in range(walked + 1, dmax + 1)]
     alpha = max_entry_degree(matrix)
     for d, degree in enumerate(degrees, start=1):
         yield _window(matrix, alpha, d, degree)
@@ -499,11 +557,11 @@ def diagonal_degree_interval(entries, l: int, r: int) -> DegreeInterval:
     for i, row in enumerate(entries):
         if len(row) != m:
             raise PreconditionError("matrix must be square")
-        if any(x < 0 for x in row):
+        if min(row) < 0:
             raise PreconditionError("entries must be non-negative")
         if row[i] == 0:
             raise PreconditionError(f"diagonal entry ({i},{i}) is zero")
-        if i > 0 and not any(row[j] for j in range(i)):
+        if i > 0 and not any(row[:i]):
             raise PreconditionError(f"row {i} has no entry before the diagonal")
     delta = _steps_from_first(entries, l)
     if delta is None or r < delta:

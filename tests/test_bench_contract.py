@@ -36,6 +36,8 @@ def test_every_name_the_tracer_patches_exists(monkeypatch):
 
 
 def test_degree_window_calls_the_names_the_tracer_times(monkeypatch):
+    # symbolic.tropical_s, symbolic.exact_s and symbolic.psi_muls would read
+    # 0 if the single window or the long windows walk skipped these names
     calls = {"tropical_first_column_degrees": 0, "_exact_first_column_degree": 0}
     for attr in calls:
         original = getattr(symbolic, attr)
@@ -45,8 +47,25 @@ def test_degree_window_calls_the_names_the_tracer_times(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(symbolic, attr, counted)
-    symbolic.degree_window(symbolic.fixture("gl4"), 12)
-    assert calls == {"tropical_first_column_degrees": 1, "_exact_first_column_degree": 1}
+    muls = []
+    original_mul = symbolic.PsiPoly.__mul__
+
+    def counted_mul(self, other):
+        muls.append(1)
+        return original_mul(self, other)
+
+    monkeypatch.setattr(symbolic.PsiPoly, "__mul__", counted_mul)
+    gl4 = symbolic.fixture("gl4")
+    runs = (
+        lambda: symbolic.degree_window(gl4, 12),
+        lambda: list(symbolic.degree_windows(gl4, 2000)),
+    )
+    for run in runs:
+        calls.update(dict.fromkeys(calls, 0))
+        muls.clear()
+        run()
+        assert calls == {"tropical_first_column_degrees": 1, "_exact_first_column_degree": 1}
+        assert muls
 
 
 def test_single_counts_call_the_name_the_tracer_times(corpus, monkeypatch):

@@ -44,6 +44,26 @@ def test_structure_check_fails_on_tampered_matrix(corpus):
     assert any(c.name == "first_row_zero_after_diagonal" for c in report.failures())
 
 
+def acyclic_check(report):
+    (check,) = [c for c in report.checks if c.name == "acyclic_apart_from_loops"]
+    return check
+
+
+def test_corpus_matrices_are_acyclic_apart_from_loops(corpus):
+    for name, group in corpus.items():
+        assert acyclic_check(verify_structure(*branching_matrix(group))).passed, name
+
+
+def test_tampered_two_cycle_fails_the_acyclic_check(corpus):
+    matrix, registry = branching_matrix(corpus["s4"])
+    bad = [list(r) for r in matrix.entries]
+    i, k = next((i, k) for i, row in enumerate(bad) for k, x in enumerate(row) if x and i > k > 0)
+    bad[k][i] = 1  # the edge i -> k closes a 2-cycle with k -> i
+    check = acyclic_check(verify_structure(BranchingMatrix(bad), registry))
+    assert not check.passed
+    assert check.detail == f"rows {[k, i]} lie on a cycle that is not a loop"
+
+
 def test_corner_entry_is_center_order(corpus):
     for group in corpus.values():
         matrix, _ = branching_matrix(group)

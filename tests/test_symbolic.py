@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from commprob.symbolic import (
     NEG_INF,
     PsiPoly,
     cp_bounds,
+    degree_envelope,
     degree_window,
     degree_windows,
     diagonal_degree_interval,
@@ -341,17 +343,41 @@ def test_window_violation_raises():
             first_column_degree(broken, d)
 
 
-# --- single degrees by max-plus powers ---------------------------------------
+# --- single degrees from the loop envelope -----------------------------------
+
+FIXTURE_LINES = {
+    "gl2": {2: 0, 1: 1},
+    "gl3": {3: 0, 2: 1, 1: 3},
+    "gl4": {5: -7, 4: 0, 3: 1, 2: 3, 1: 6},
+}
 
 
-def test_maxplus_power_is_the_degree_of_the_exact_power():
-    for name in ("gl2", "gl3", "gl4"):
+def envelope_degree(lines, d):
+    return max((w * d + b for w, b in lines.items()), default=-1)
+
+
+def test_envelope_lines_of_the_fixtures():
+    for name, expected in FIXTURE_LINES.items():
+        lines = degree_envelope(fixture(name))
+        assert list(lines.items()) == list(expected.items()), name
+        assert max(lines) == max_entry_degree(fixture(name)), name
+
+
+def test_gl4_degree_is_5d_minus_7_from_7_on():
+    gl4 = fixture("gl4")
+    degrees = tropical_first_column_degrees(gl4, 600)
+    assert degrees[5] == 24 != 5 * 6 - 7  # below d = 7 the 4d line leads
+    assert all(degrees[d - 1] == 5 * d - 7 for d in range(7, 601))
+    assert all(first_column_degree(gl4, d) == 5 * d - 7 for d in (25, 1000, 10**6, 10**12))
+
+
+def test_envelope_matches_walk_from_beta_to_600():
+    for name in FIXTURE_LINES:
         matrix = fixture(name)
-        for d in range(1, 7):
-            power = symbolic._maxplus_power(matrix.grid, d)
-            exact = psi_power(matrix, d)
-            for row, exact_row in zip(power, exact, strict=True):
-                assert row == exact_degrees(exact_row), (name, d)
+        lines = degree_envelope(matrix)
+        walk = tropical_first_column_degrees(matrix, 600)
+        for d in range(matrix.size, 601):
+            assert envelope_degree(lines, d) == walk[d - 1], (name, d)
 
 
 def test_first_column_degree_power_path_matches_walk():
@@ -378,6 +404,73 @@ def test_large_d_never_walks_past_the_checked_range(monkeypatch):
     assert (lower, upper) == (Fraction(4_999_993, 16 * 10**6), Fraction(5_000_009, 16 * 10**6))
 
 
+def test_degrees_below_beta_are_walked():
+    # a 30-row chain 0 -> 1 -> ... -> 29 with one loop, at the end: a walk
+    # of length d < 29 takes no loop, which the only line, 5d - 116, misses
+    size = 30
+    grid = [[-1] * size for _ in range(size)]
+    for i in range(1, size):
+        grid[i][i - 1] = 1
+    grid[size - 1][size - 1] = 5
+    chain = psi_matrix_from_exponents("chain", grid, group_dim=8, rank=1)
+    assert degree_envelope(chain) == {5: -116}
+    assert envelope_degree({5: -116}, 28) == 24
+    assert first_column_degree(chain, 28) == 28
+    walk = tropical_first_column_degrees(chain, 80)
+    assert [w.degree for w in degree_windows(chain, 80)] == walk
+    assert [first_column_degree(chain, d) for d in (25, 29, 30, 80)] == [25, 29, 34, 284]
+
+
+def test_envelope_misses_a_loop_free_path_of_length_beta_minus_1():
+    # no loop at all: the lines are empty, so they are right from d = beta
+    # on, where every walk has died, but not at d = beta - 1
+    path = psi_matrix_from_exponents("path", [[-1, -1, -1], [2, -1, -1], [-1, 3, -1]], 4, 1)
+    assert degree_envelope(path) == {}
+    assert tropical_first_column_degrees(path, 4) == [2, 5, -1, -1]
+
+
+def test_envelope_refuses_a_cycle_that_is_not_a_loop():
+    two = psi_matrix_from_exponents("two", [[1, 0], [0, 1]], 4, 1)
+    three = psi_matrix_from_exponents(
+        "three", [[1, -1, -1, -1], [-1, 2, -1, 0], [-1, 0, -1, -1], [-1, -1, 0, -1]], 4, 1
+    )  # 1 -> 2 -> 3 -> 1, which no walk from 0 reaches
+    for matrix, rows in ((two, [0, 1]), (three, [1, 2, 3])):
+        message = f"rows {rows} lie on a cycle that is not a loop"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            degree_envelope(matrix)
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            first_column_degree(matrix, EXACT_CHECK_DMAX + 1)
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            list(degree_windows(matrix, EXACT_CHECK_DMAX + 1))
+        first_column_degree(matrix, EXACT_CHECK_DMAX)  # the walked range needs no order
+
+
+@st.composite
+def loop_acyclic_grids(draw):
+    """Square exponent grids whose only cycles are loops: every other edge
+    k -> i runs forward in a random order of the rows, which need not put
+    row 0 first."""
+    size = draw(st.integers(1, 7))
+    rank = draw(st.permutations(range(size)))
+    cell = st.one_of(st.just(-1), st.integers(0, 5))
+    return [
+        [draw(cell) if i == k or rank[k] < rank[i] else -1 for k in range(size)]
+        for i in range(size)
+    ]
+
+
+@settings(max_examples=150)
+@given(loop_acyclic_grids())
+def test_envelope_matches_walk_on_random_loop_acyclic_grids(grid):
+    matrix = psi_matrix_from_exponents("random", grid, group_dim=4, rank=1)
+    lines = degree_envelope(matrix)
+    walk = tropical_first_column_degrees(matrix, 60)
+    assert [envelope_degree(lines, d) for d in range(matrix.size, 61)] == walk[matrix.size - 1 :]
+    if lines:  # else every walk has died by d = beta
+        # each b_w is within 6 edges * 5 of 0, so the top line leads from d = 60
+        assert first_column_degree(matrix, 200) == walk[-1] + 140 * max(lines)
+
+
 @st.composite
 def exponent_grids(draw):
     """Square exponent grids with cycles, rows no walk from 0 reaches and,
@@ -397,11 +490,24 @@ def exponent_grids(draw):
 
 @settings(max_examples=100)
 @given(exponent_grids())
-def test_maxplus_power_matches_walk_on_random_grids(grid):
+def test_envelope_refuses_exactly_the_grids_with_other_cycles(grid):
+    # reach[k][i]: a path of non-loop edges k -> ... -> i, by transitive closure
+    size = len(grid)
+    reach = [[i != k and grid[i][k] >= 0 for i in range(size)] for k in range(size)]
+    for m in range(size):
+        for k in range(size):
+            if reach[k][m]:
+                reach[k] = [a or b for a, b in zip(reach[k], reach[m])]
     matrix = psi_matrix_from_exponents("random", grid, group_dim=4, rank=1)
-    walk = tropical_first_column_degrees(matrix, 60)
-    power = [symbolic._power_first_column_degree(matrix, d) for d in range(1, 61)]
-    assert power == walk
+    if any(reach[i][i] for i in range(size)):
+        with pytest.raises(PreconditionError) as refused:
+            degree_envelope(matrix)
+        rows = [int(x) for x in re.search(r"rows \[(.*)\]", str(refused.value))[1].split(",")]
+        assert len(rows) >= 2 and all(reach[r][r] for r in rows)
+    else:
+        lines = degree_envelope(matrix)
+        walk = tropical_first_column_degrees(matrix, 40)
+        assert [envelope_degree(lines, d) for d in range(size, 41)] == walk[size - 1 :]
 
 
 # --- symbolised diagonal entries --------------------------------------------
