@@ -42,20 +42,17 @@ class TypeRegistry:
     anything but the stored centralizers.  This is the one mutable container
     in the package: registrations must be serialized by the caller.
 
-    Types sit in buckets keyed by their centralizer's `fingerprint`, the
-    multiset of G-class ids of its members, and a lookup runs the
-    transporter search only against the types in its subgroup's bucket.
-    Conjugation maps each member to a member of the same G-class, so
-    conjugate subgroups share a key.  Registered types are pairwise
-    non-conjugate, so at most one type matches a subgroup, and it is in
-    that bucket: the bucket cannot change the type id a lookup returns,
-    only the number of searches it runs.
+    A lookup tries the types in id order.  `subgroup_conjugate` rejects a
+    type whose centralizer differs from the subgroup in order or in
+    `fingerprint` (the multiset of G-class ids of its members, which
+    conjugation keeps) before any transporter search.  Registered types are
+    pairwise non-conjugate, so at most one type matches a subgroup, and the
+    scan order cannot change the type id a lookup returns.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.types: list[TypeEntry] = []
-        self._buckets: dict[tuple, list[int]] = {}
         self._register(Subgroup.whole(group), (0,))
 
     def __len__(self) -> int:
@@ -67,15 +64,14 @@ class TypeRegistry:
         return self.types[type_id]
 
     def lookup(self, subgroup: Subgroup) -> int | None:
-        for tid in self._buckets.get(subgroup.fingerprint, ()):
-            if subgroup_conjugate(self.group, self.types[tid].centralizer, subgroup) is not None:
+        for tid, entry in enumerate(self.types):
+            if subgroup_conjugate(self.group, entry.centralizer, subgroup) is not None:
                 return tid
         return None
 
     def _register(self, subgroup: Subgroup, representative: tuple[int, ...]) -> int:
         tid = len(self.types)
         self.types.append(TypeEntry(representative, subgroup, len(representative)))
-        self._buckets.setdefault(subgroup.fingerprint, []).append(tid)
         return tid
 
     def lookup_or_register(self, subgroup: Subgroup, representative: tuple[int, ...]) -> tuple[int, bool]:

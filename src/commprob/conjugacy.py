@@ -3,8 +3,9 @@
 Two commuting tuples are z-equivalent when their common centralizers are
 conjugate; a z-class of a group is the union of conjugacy classes whose
 centralizers are conjugate.  Everything here works on element indices of a
-FiniteGroup and is pure apart from the whole group's class partition,
-which is cached on the group: safe for concurrent use on finished groups.
+FiniteGroup and is pure apart from each subgroup's class partition, which
+is cached on the subgroup it partitions (the whole group's on the shared
+`Subgroup.whole`): safe for concurrent use on finished groups.
 
 The acting group H enters only through its generators (orbit-stabilizer,
 Handbook of Computational Group Theory, section 4.1):
@@ -28,9 +29,10 @@ Handbook of Computational Group Theory, section 4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotCommutingError
-from .groups import FiniteGroup, Subgroup, extend_subgroup
+from .groups import FiniteGroup, Subgroup, extend_subgroup, subgroup_or_whole
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,11 @@ class ClassPartition:
     @property
     def count(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def class_of(self) -> dict[int, int]:
+        """Member -> index of its class, built on first use."""
+        return {m: cid for cid, cls in enumerate(self.classes) for m in cls.members}
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,7 @@ def centralizer(group: FiniteGroup, tup, within: Subgroup | None = None) -> Subg
     t = tuple(tup)
     for i in t:
         group.check_index(i)
-    k = within if within is not None else Subgroup.whole(group)
+    k = subgroup_or_whole(group, within)
     for x in t:
         k = _stabilizer(group, k, x)
     return k
@@ -130,13 +137,11 @@ def conjugacy_classes(group: FiniteGroup, within: Subgroup | None = None) -> Cla
     With `within` given, the subgroup acts on itself; class members are
     still parent-group indices.  Members are visited in increasing order,
     and each one not yet placed starts the orbit search of its class.  The
-    partition of the whole group, which depends only on the group, is
-    computed once and cached on it.
+    partition is computed once per subgroup and cached on it.
     """
-    h = within if within is not None else Subgroup.whole(group)
-    whole = h.order == group.order
-    if whole and group._classes is not None:
-        return group._classes
+    h = subgroup_or_whole(group, within)
+    if h._classes is not None:
+        return h._classes
     mul = group.mul
     pairs = _generator_pairs(group, h)
     seen: set[int] = set()
@@ -153,10 +158,8 @@ def conjugacy_classes(group: FiniteGroup, within: Subgroup | None = None) -> Cla
                     orbit.append(z)
         seen |= reached
         classes.append(ConjugacyClass(x, tuple(sorted(orbit))))
-    partition = ClassPartition(tuple(classes))
-    if whole:
-        group._classes = partition
-    return partition
+    h._classes = ClassPartition(tuple(classes))
+    return h._classes
 
 
 def subgroup_conjugate(
@@ -191,7 +194,7 @@ def z_classes(group: FiniteGroup, subgroup: Subgroup | None = None) -> list[ZCla
     one whose centralizer is the subgroup itself) and continues in order of
     minimal class representative, so the output is deterministic.
     """
-    h = subgroup if subgroup is not None else Subgroup.whole(group)
+    h = subgroup_or_whole(group, subgroup)
     partition = conjugacy_classes(group, within=h)
     grouped: list[list[int]] = []
     cents: list[Subgroup] = []

@@ -5,9 +5,10 @@ for matrices, image arrays for permutations.  A carrier object supplies the
 multiplication and inversion for one kind of element, so two elements are
 equal exactly when their carriers and data agree; an element's canonical
 byte encoding is its data as 4-byte big-endian words.  All containers here
-are immutable after construction; only cached derived data (classes and
-each element's class id, subgroup fingerprints, the oracle's centralizer
-DAG) is filled in lazily.
+are immutable after construction; only cached derived data (a group's
+whole-group subgroup, branching matrix and oracle centralizer DAG, a
+subgroup's generators, class partition, fingerprint and abelian flag) is
+filled in lazily.
 
 Generator closure runs over closure keys: each carrier maps an element's
 data to its key (`to_key`) and back (`from_key`), and gives each seed s (a
@@ -46,10 +47,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 
-from .errors import CapExceededError, ElementNotInGroupError, MixedCarriersError
+from .errors import CapExceededError, ElementNotInGroupError, MixedCarriersError, PreconditionError
 from .fields import Field
 
 class MatrixCarrier:
@@ -248,7 +249,7 @@ class FiniteGroup:
     are built here, so multiplication replays a word and inversion reads a
     table.  Elements cross the boundary as `GroupElement` data through
     `element`, `element_index` and `encode`.  Instances are immutable apart
-    from lazily cached classes, subgroups and oracle data.
+    from the lazily cached whole-group subgroup, matrix and oracle data.
     """
 
     def __init__(
@@ -268,8 +269,6 @@ class FiniteGroup:
         self.name = name
         self._words, self._inv_table = _product_words(len(elements), actions)
         self._whole = None
-        self._classes = None
-        self._class_of = None
         self._branching = None
         self._centralizer_dag = None
 
@@ -425,8 +424,7 @@ class Subgroup:
         self.members = tuple(sorted(set(members)))
         self.member_set = frozenset(self.members)
         self._generators = None if generators is None else tuple(generators)
-        self._fingerprint = None
-        self._is_abelian = None
+        self._classes = None  # the class partition, set by `conjugacy.conjugacy_classes`
 
     @classmethod
     def whole(cls, group: FiniteGroup) -> "Subgroup":
@@ -471,38 +469,28 @@ class Subgroup:
             self._generators = tuple(gens)
         return self._generators
 
-    @property
+    @cached_property
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise."""
-        if self._is_abelian is None:
-            commute = self.group.commute
-            gs = self.generators
-            self._is_abelian = all(
-                commute(a, b) for ai, a in enumerate(gs) for b in gs[ai + 1 :]
-            )
-        return self._is_abelian
+        commute, gs = self.group.commute, self.generators
+        return all(commute(a, b) for ai, a in enumerate(gs) for b in gs[ai + 1 :])
 
-    @property
+    @cached_property
     def fingerprint(self) -> tuple[tuple[int, int], ...]:
         """Sorted (G-class id, member count) pairs of the members.
 
         Conjugation by any element of G keeps each member in its G-class,
         so conjugate subgroups share a fingerprint; one class shares one
         element order, so it also fixes the order and the element orders.
-        Class ids come from the whole group's cached partition.
+        Class ids come from the whole group's partition, made on first use.
         """
-        if self._fingerprint is None:
-            group, class_of = self.group, self.group._class_of
-            if class_of is None:
-                from .conjugacy import conjugacy_classes  # conjugacy imports this module
-                class_of = [0] * group.order
-                for cid, cls in enumerate(conjugacy_classes(group).classes):
-                    for m in cls.members:
-                        class_of[m] = cid
-                group._class_of = class_of
-            counts = Counter(map(class_of.__getitem__, self.members))
-            self._fingerprint = tuple(sorted(counts.items()))
-        return self._fingerprint
+        whole = Subgroup.whole(self.group)
+        if whole._classes is None:
+            from .conjugacy import conjugacy_classes  # conjugacy imports this module
+
+            conjugacy_classes(self.group)
+        class_of = whole._classes.class_of
+        return tuple(sorted(Counter(map(class_of.__getitem__, self.members)).items()))
 
     def is_subgroup(self) -> bool:
         """Closure check, used by tests; construction does not revalidate."""
@@ -572,9 +560,18 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
     return FiniteGroup(carrier, elements, index, actions, generators, name=name)
 
 
+def subgroup_or_whole(group: FiniteGroup, within: Subgroup | None) -> Subgroup:
+    """`within`, or the whole group for None; refused unless it lies in `group`."""
+    if within is None:
+        return Subgroup.whole(group)
+    if within.group is not group:
+        raise PreconditionError(f"{within!r} does not lie in {group!r}")
+    return within
+
+
 def center(group: FiniteGroup, within: Subgroup | None = None) -> Subgroup:
     """The centre of `within` (default the whole group): its members that
     commute with each of its generators."""
-    sub = Subgroup.whole(group) if within is None else within
+    sub = subgroup_or_whole(group, within)
     commute, gens = group.commute, sub.generators
     return Subgroup(group, [z for z in sub.members if all(commute(z, s) for s in gens)])

@@ -6,7 +6,7 @@ stops calling a timed name, whose span would then silently read 0."""
 import importlib
 from pathlib import Path
 
-from commprob import branching, conjugacy, counting, fields, groups, symbolic
+from commprob import branching, conjugacy, counting, fields, groups, groupspec, symbolic
 
 from conftest import recording
 
@@ -98,3 +98,34 @@ def test_transporter_search_is_skipped_exactly_when_the_tracer_says(corpus):
                 conjugacy.subgroup_conjugate(group, a, b, transporter=candidates)
                 skipped = a.order != b.order or a.fingerprint != b.fingerprint
                 assert (tried == []) == skipped, (name, a, b)
+
+
+def test_finite_pipeline_reaches_the_spans_the_tracer_times(monkeypatch):
+    # bench/selftest.py needs the conjugacy.* and branching.registry spans
+    # nonzero on finite_carrier.  The registry span exists only while
+    # TypeRegistry.lookup calls subgroup_conjugate through the branching
+    # module's namespace, and verify_structure must still ask for classes.
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer("spans")
+    try:
+        tracer.install()
+        branching.verify_structure(*branching.branching_matrix(groupspec.corpus_group("s4")))
+    finally:
+        tracer.uninstall()
+    names = {sid: name for sid, _, name, _, _ in tracer.spans}
+    parents = {sid: parent for sid, parent, _, _, _ in tracer.spans}
+    below = {name: set() for name in names.values()}  # span name -> names of spans under it
+    for sid, name in names.items():
+        parent = parents[sid]
+        while parent >= 0:
+            below[names[parent]].add(name)
+            parent = parents[parent]
+    assert {
+        "conjugacy.zclasses",
+        "conjugacy.centralizer",
+        "conjugacy.classes",
+        "conjugacy.transporter",
+        "branching.registry",
+    } <= below["branching.matrix"]
+    assert "conjugacy.classes" in below["branching.verify"]

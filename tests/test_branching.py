@@ -1,5 +1,6 @@
 import pytest
 
+from commprob import conjugacy
 from commprob.branching import BranchingMatrix, branching_matrix, verify_structure
 from commprob.conjugacy import conjugacy_classes
 from commprob.counting import class_count_sequence
@@ -151,3 +152,29 @@ def test_s4_has_deeper_type(corpus):
     # a pair of commuting double transpositions has a genuinely new centralizer
     _, registry = branching_matrix(corpus["s4"])
     assert max(t.depth for t in registry.types) == 2
+
+
+def test_verify_reads_the_partitions_branching_made(corpus, large_groups, monkeypatch):
+    # branching_matrix partitions each non-abelian type in z_classes, and
+    # verify_structure reads those partitions.  An abelian type's column is
+    # closed without its classes, so verify partitions it, once.
+    pairs = conjugacy._generator_pairs
+    partitioned = []
+
+    def counted(group, h):
+        partitioned.append(h)
+        return pairs(group, h)
+
+    monkeypatch.setattr(conjugacy, "_generator_pairs", counted)
+    for name, group in dict(corpus, s7=large_groups["s7"]).items():
+        matrix, registry = branching_matrix(group)
+        cents = [entry.centralizer for entry in registry.types]
+        partitioned.clear()
+        assert verify_structure(matrix, registry).ok, name
+        assert all(h.is_abelian and any(h is c for c in cents) for h in partitioned), name
+        assert len({id(h) for h in partitioned}) == len(partitioned), name
+        partitioned.clear()
+        assert verify_structure(matrix, registry).ok, name
+        assert partitioned == [], name
+        for h in cents:
+            assert conjugacy_classes(group, within=h) is conjugacy_classes(group, within=h)

@@ -11,12 +11,13 @@ from commprob.conjugacy import (
     subgroup_conjugate,
     z_classes,
 )
-from commprob.errors import ElementNotInGroupError, NotCommutingError
+from commprob.errors import ElementNotInGroupError, NotCommutingError, PreconditionError
 from commprob.fields import field_create
 from commprob.groups import (
     FiniteGroup,
     GroupElement,
     Subgroup,
+    center,
     group_generate,
     matrix_element,
     permutation_element,
@@ -416,8 +417,9 @@ def test_classes_of_s7_cost_less_than_a_scan_by_every_element(monkeypatch):
 
 @pytest.mark.parametrize("name", ["s4", "gl3_f2"])
 def test_whole_group_classes_computed_once(monkeypatch, name):
-    # z_classes of type 0, the registry's bucket key and both class checks
-    # of verify_structure share one partition of the whole group
+    # z_classes of type 0, the fingerprints the registry's lookups compare
+    # and both class checks of verify_structure share one partition of the
+    # whole group
     group = corpus_group(name)  # fresh: nothing cached yet
     made = []
     partition = conjugacy.ClassPartition
@@ -432,3 +434,24 @@ def test_whole_group_classes_computed_once(monkeypatch, name):
     assert made.count(group.order) == 1
     assert conjugacy_classes(group) is conjugacy_classes(group, within=Subgroup.whole(group))
     assert made.count(group.order) == 1
+
+
+def test_subgroups_of_another_group_are_refused(corpus):
+    # a partition made with another group's products would stay cached on
+    # the subgroup, so the subgroup must lie in the group that acts
+    group = corpus["s4"]
+    # another group, and another build of the same group: equal elements
+    # but not the same object
+    for other in (corpus_group("d4"), corpus_group("s4")):
+        foreign = centralizer(other, (1,))
+        calls = (
+            lambda: conjugacy_classes(group, within=foreign),
+            lambda: centralizer(group, (1,), within=foreign),
+            lambda: z_classes(group, foreign),
+            lambda: center(group, within=foreign),
+        )
+        for call in calls:
+            with pytest.raises(PreconditionError) as info:
+                call()
+            assert repr(foreign) in str(info.value) and repr(group) in str(info.value)
+        assert foreign._classes is None

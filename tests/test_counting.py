@@ -27,7 +27,7 @@ from commprob.counting import (
 from commprob.conjugacy import conjugacy_classes
 from commprob.errors import CapExceededError, CertificateError, InvalidFamilyError
 from commprob.fields import field_create
-from commprob.groups import FiniteGroup, group_generate, matrix_element, permutation_element
+from commprob.groups import FiniteGroup, Subgroup, group_generate, matrix_element, permutation_element
 from commprob.groupspec import corpus_group
 
 from conftest import (
@@ -348,7 +348,7 @@ def test_oracle_on_s7_without_classes_or_matrix(large_groups, monkeypatch):
                 monkeypatch.setattr(module, attr, refuse)
     fresh = group_generate(symmetric_group(7), name="S7")
     assert oracle_class_counts(fresh, 3, cap=5040) == expected
-    assert fresh._classes is None and fresh._class_of is None and fresh._branching is None
+    assert Subgroup.whole(fresh)._classes is None and fresh._branching is None
 
 
 def oracle_round(group):
@@ -379,7 +379,7 @@ def test_oracle_cache_is_per_group_and_independent(monkeypatch):
     fresh = corpus_group("gl3_f2")
     oracle_round(fresh)
     assert fresh._centralizer_dag is not None
-    assert fresh._branching is None and fresh._classes is None
+    assert fresh._branching is None and Subgroup.whole(fresh)._classes is None
     # the same group with its elements in another order: each copy
     # multiplies its own elements into its own DAG
     plain, conjugated = corpus_group("gl2_f3"), conjugated_gl2_f3()
