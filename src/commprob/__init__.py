@@ -11,7 +11,6 @@ from .branching import (
     BranchingMatrix,
     TypeRegistry,
     branching_matrix,
-    tuple_z_type,
     verify_structure,
 )
 from .conjugacy import (
@@ -25,6 +24,7 @@ from .conjugacy import (
     z_classes,
 )
 from .counting import (
+    ORACLE_CAP,
     FamilyAsymptote,
     FamilySpec,
     RatioReport,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conjugacy import centralizer, commuting_tuple, conjugacy_classes, subgroup_conjugate, z_classes
+from .conjugacy import conjugacy_classes, subgroup_conjugate, z_classes
 from .errors import PreconditionError, UnknownTypeError
 from .groups import FiniteGroup, Subgroup, center
 from .report import CheckResult, StructureReport
@@ -83,17 +83,6 @@ class TypeRegistry:
 
     def abelian_type_ids(self) -> list[int]:
         return [tid for tid, entry in enumerate(self.types) if entry.centralizer.is_abelian]
-
-
-def tuple_z_type(group: FiniteGroup, tup, registry: TypeRegistry) -> int:
-    """Type id of a commuting tuple's centralizer, registering it if unseen.
-
-    The empty tuple has centralizer G and therefore type 0.
-    """
-    t = commuting_tuple(group, tup)
-    cent = centralizer(group, t)
-    tid, _ = registry.lookup_or_register(cent, t)
-    return tid
 
 
 class BranchingMatrix:

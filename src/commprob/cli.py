@@ -194,6 +194,11 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_symbolic(args) -> int:
+    # a degree table has no huge integer, but it gets the row limit of a
+    # 2-element group like every other table, so that no --d is unbounded
+    _refuse_unprintable(
+        2, args.d, f"--d {args.d}, held to the rows of a 2-element group: 2**{args.d}"
+    )
     matrix = fixture(args.fixture)
     report = verify_symbolic_structure(matrix)
     lines = [

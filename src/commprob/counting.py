@@ -129,7 +129,11 @@ def class_count_sequence(group: FiniteGroup, dmax: int) -> list[int]:
     return matrix.first_column_sums(dmax)
 
 
-def oracle_class_counts(group: FiniteGroup, dmax: int, cap: int = 500) -> list[int]:
+# The largest group the oracle takes unless a call passes its own `cap`.
+ORACLE_CAP = 500
+
+
+def oracle_class_counts(group: FiniteGroup, dmax: int, cap: int = ORACLE_CAP) -> list[int]:
     """Burnside orbit counts [c(1), ..., c(dmax)], independent of the matrix.
 
     c(d) = |C_{d+1}(G)| / |G| for every d from one pass of
@@ -137,15 +141,14 @@ def oracle_class_counts(group: FiniteGroup, dmax: int, cap: int = 500) -> list[i
     centralizer DAG: commutation masks conjugated along classes,
     2|G|(|generators| + k(G)) products at most, plus one bitmask AND per
     (node, member).  Every later call on the group runs only the dynamic
-    programme.  Refuses groups above `cap`.  The masks take |G|^2/8 bytes;
-    with an explicit `cap`, groups of about 10^4 elements take seconds.
+    programme.  Refuses dmax < 1, then groups above `cap` (default
+    ORACLE_CAP).  The masks take |G|^2/8 bytes; with an explicit `cap`,
+    groups of about 10^4 elements take seconds.
     """
     if dmax < 1:
         raise ValueError("d must be >= 1")
-    if group.order > cap:
-        raise CapExceededError(f"group of order {group.order} exceeds oracle cap {cap}")
     counts = []
-    for d, total in enumerate(_commuting_tuple_totals(group, dmax + 1)[1:], start=1):
+    for d, total in enumerate(_commuting_tuple_totals(group, dmax + 1, cap)[1:], start=1):
         orbits, remainder = divmod(total, group.order)
         if remainder:
             raise InexactDivisionError(
@@ -155,28 +158,30 @@ def oracle_class_counts(group: FiniteGroup, dmax: int, cap: int = 500) -> list[i
     return counts
 
 
-def oracle_class_count(group: FiniteGroup, d: int, cap: int = 500) -> int:
+def oracle_class_count(group: FiniteGroup, d: int, cap: int = ORACLE_CAP) -> int:
     """Burnside orbit count c(d) of commuting d-tuples; see `oracle_class_counts`."""
     return oracle_class_counts(group, d, cap)[-1]
 
 
-def commuting_tuple_total(group: FiniteGroup, d: int, cap: int = 500) -> int:
-    """Exact number of commuting d-tuples by the same recursion as the oracle."""
+def commuting_tuple_total(group: FiniteGroup, d: int, cap: int = ORACLE_CAP) -> int:
+    """Exact number of commuting d-tuples by the same recursion as the
+    oracle, with the same refusals: d < 1, then groups above `cap`."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if group.order > cap:
-        raise CapExceededError(f"group of order {group.order} exceeds oracle cap {cap}")
-    return _commuting_tuple_totals(group, d)[-1]
+    return _commuting_tuple_totals(group, d, cap)[-1]
 
 
-def _commuting_tuple_totals(group: FiniteGroup, kmax: int) -> list[int]:
+def _commuting_tuple_totals(group: FiniteGroup, kmax: int, cap: int) -> list[int]:
     """[|C_1(G)|, ..., |C_kmax(G)|], where C_k(H) is the set of commuting
     k-tuples of H, by |C_k(H)| = sum over g in H of |C_{k-1}(C_H(g))|.
 
     One pass per k over the group's centralizer DAG gives
     f_k(M) = sum of mult * f_{k-1}(child) from f_1(M) = |M|; the DAG is
-    built on the group's first oracle call and reused after it.
+    built on the group's first oracle call and reused after it.  The one
+    cap check of the oracle: a group above `cap` is refused before its DAG.
     """
+    if group.order > cap:
+        raise CapExceededError(f"group of order {group.order} exceeds oracle cap {cap}")
     sizes, children = _centralizer_dag(group)
     f = sizes
     totals = [f[0]]

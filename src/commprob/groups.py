@@ -179,10 +179,7 @@ class PermutationCarrier:
         return tuple(map(a.__getitem__, b))
 
     def inv(self, a):
-        out = [0] * self.domain
-        for i, img in enumerate(a):
-            out[img] = i
-        return tuple(out)
+        return tuple(_inverse_permutation(a))
 
     def to_key(self, a):
         """A permutation is its own closure key."""
@@ -276,9 +273,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def __repr__(self) -> str:
         label = self.name or "group"
         return f"FiniteGroup({label}, order={self.order})"
@@ -325,7 +319,7 @@ class FiniteGroup:
         return sorted(self.encode(i) for i in range(self.order))
 
 
-def _inverse_permutation(perm: list[int]) -> list[int]:
+def _inverse_permutation(perm) -> list[int]:
     out = [0] * len(perm)
     for x, y in enumerate(perm):
         out[y] = x

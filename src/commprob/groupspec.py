@@ -15,6 +15,9 @@ Matrix entries are field-element indices (residues mod p for k = 1, base-p
 digit encodings otherwise); permutation generators are image arrays.  Every
 integer field must be a JSON integer (true and false are rejected), and the
 field order p^k may not exceed 2^20.
+The parser builds a matrix spec's field once, as `GroupSpec.field` (its
+modulus reduced mod p), and `GroupSpec.generator_elements` is the one place
+generators become group elements.
 """
 
 from __future__ import annotations
@@ -24,24 +27,26 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import GroupSpecParseError, GroupSpecValidationError
-from .fields import MAX_FIELD_ORDER, field_create, is_prime
-from .groups import FiniteGroup, group_generate, matrix_element, permutation_element
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    p: int
-    k: int
-    modulus: tuple[int, ...] | None = None
+from .fields import MAX_FIELD_ORDER, Field, field_create, is_prime
+from .groups import FiniteGroup, GroupElement, group_generate, matrix_element, permutation_element
 
 
 @dataclass(frozen=True)
 class GroupSpec:
+    """A validated spec; `field` is the built field of a matrix spec, None
+    for a permutation spec."""
+
     name: str
     kind: str
-    field: FieldSpec | None
+    field: Field | None
     degree: int
     generators: tuple
+
+    def generator_elements(self) -> list[GroupElement]:
+        """The generators as group elements, in spec order."""
+        if self.kind == "permutation":
+            return [permutation_element(g) for g in self.generators]
+        return [matrix_element(self.field, g) for g in self.generators]
 
 
 def _fail(path: str, message: str):
@@ -127,18 +132,12 @@ def parse_group_spec(document: str) -> GroupSpec:
         except ValueError as exc:
             _fail(f"generators[{gi}]", str(exc))
         norm_gens.append(tuple(tuple(row) for row in gen))
-    field_spec = FieldSpec(p, k, tuple(modulus) if modulus is not None else None)
-    return GroupSpec(name, kind, field_spec, degree, tuple(norm_gens))
+    return GroupSpec(name, kind, field, degree, tuple(norm_gens))
 
 
 def build_group(spec: GroupSpec, cap: int = 20000) -> FiniteGroup:
     """Generate the finite group described by a validated spec."""
-    if spec.kind == "permutation":
-        gens = [permutation_element(g) for g in spec.generators]
-    else:
-        field = field_create(spec.field.p, spec.field.k, spec.field.modulus)
-        gens = [matrix_element(field, g) for g in spec.generators]
-    return group_generate(gens, cap=cap, name=spec.name)
+    return group_generate(spec.generator_elements(), cap=cap, name=spec.name)
 
 
 def load_group_spec(path) -> GroupSpec:

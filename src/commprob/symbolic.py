@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
+from itertools import chain
 
 from .errors import PreconditionError, UnknownFixtureError, WindowViolatedError
 from .report import CheckResult, StructureReport
@@ -508,13 +509,14 @@ def degree_window(matrix: PsiMatrix, d: int) -> DegreeWindow:
 def degree_windows(matrix: PsiMatrix, dmax: int):
     """Yield degree_window(matrix, d) for d = 1..dmax from one walk, with
     every d <= EXACT_CHECK_DMAX cross-checked in one exact pass.  The walk
-    stops at max(EXACT_CHECK_DMAX, beta - 1); later d read the envelope."""
+    stops at max(EXACT_CHECK_DMAX, beta - 1); later d read the envelope,
+    one at a time as they are yielded."""
     walked = min(dmax, _walked_dmax(matrix))
     degrees = tropical_first_column_degrees(matrix, walked)
     _cross_check(matrix, degrees)
     if dmax > walked:
         lines = degree_envelope(matrix)
-        degrees += [_envelope_degree(lines, d) for d in range(walked + 1, dmax + 1)]
+        degrees = chain(degrees, (_envelope_degree(lines, d) for d in range(walked + 1, dmax + 1)))
     alpha = max_entry_degree(matrix)
     for d, degree in enumerate(degrees, start=1):
         yield _window(matrix, alpha, d, degree)

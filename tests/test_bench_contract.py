@@ -6,6 +6,8 @@ stops calling a timed name, whose span would then silently read 0."""
 import importlib
 from pathlib import Path
 
+import pytest
+
 from commprob import branching, conjugacy, counting, fields, groups, groupspec, symbolic
 
 from conftest import recording
@@ -129,3 +131,22 @@ def test_finite_pipeline_reaches_the_spans_the_tracer_times(monkeypatch):
         "branching.registry",
     } <= below["branching.matrix"]
     assert "conjugacy.classes" in below["branching.verify"]
+
+
+@pytest.mark.parametrize(
+    "workload,key",
+    [
+        ("finite_table", "q8"),
+        ("symbolic", "window:gl4:24"),
+        ("warm_queries", "cli:symbolic --fixture gl4 --d 2000"),
+    ],
+)
+def test_benchmark_jobs_answer_as_the_reference_says(monkeypatch, workload, key):
+    # the jobs reach the library through names (build_group, the GroupSpec
+    # fields, report attributes) that a rename would break only when the
+    # benchmark runs; seed 3 conjugates the finite job's generators
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    workloads = importlib.import_module("workloads")
+    (job,) = [job for job in workloads.make_jobs(workload, 3) if job.key == key]
+    answer = workloads.run_job(job, {})
+    assert workloads.matches(job, answer, workloads.load_reference())

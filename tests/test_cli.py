@@ -438,6 +438,28 @@ def test_trivial_group_tables_keep_the_row_limit_of_order_two(tmp_path, capsys, 
     assert code == 0 and out.count("\n") > 14283
 
 
+def test_symbolic_table_keeps_the_row_limit_of_order_two(capsys, monkeypatch):
+    # a degree table prints no huge integer, so its rows are held to those
+    # of a 2-element group; a refused --d reaches no degree
+    def no_windows(*args):
+        raise AssertionError("a degree was computed")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "degree_windows", no_windows)
+        for d in ("14284", str(10**12)):
+            start = time.monotonic()
+            code, out, err = invoke(capsys, "symbolic", "--fixture", "gl2", "--d", d)
+            assert code == 2 and out == "" and time.monotonic() - start < 1
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and f"2**{d} could have" in errors[0]
+            assert "Traceback" not in err
+    code, out, _ = invoke(capsys, "symbolic", "--fixture", "gl2", "--d", "14283")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "14283,28566,1/2,14285/28566,2380/4761,14285/28566"
+    rows = lines[lines.index("d,degree,cp_lower,cp_upper,window_lower,window_upper") + 1 :]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(1, 14284))
+
+
 def test_cpd_largest_printed_integer_within_the_digit_limit(tmp_path, capsys):
     # 6**5000 has 3891 digits, under the 4300-digit default; cp_d of S3 is
     # c(d-1)/6**(d-1) with c(d) = (3**d + 2**(d+1) - 1)/2

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from commprob import conjugacy
-from commprob.branching import TypeRegistry, branching_matrix, tuple_z_type, verify_structure
+from commprob.branching import TypeRegistry, branching_matrix, verify_structure
 from commprob.conjugacy import (
     centralizer,
     commuting_tuple,
@@ -221,21 +221,26 @@ def test_commuting_tuple_validation(corpus):
     assert commuting_tuple(g, (r, g.mul(r, r))) == (r, g.mul(r, r))
 
 
+# The z-type of a tuple: the type id its centralizer gets in the registry
+
+
 def test_tuple_z_type_central_tuple(corpus):
     g = corpus["q8"]
     registry = TypeRegistry(g)
     minus_one = next(
         i for i in range(1, g.order) if centralizer(g, (i,)).order == g.order
     )
-    assert tuple_z_type(g, (minus_one,), registry) == 0
-    assert tuple_z_type(g, (), registry) == 0
+    for tup in ((minus_one,), ()):
+        t = commuting_tuple(g, tup)
+        assert registry.lookup_or_register(centralizer(g, t), t) == (0, False)
     assert len(registry) == 1
 
 
 def test_tuple_z_type_q8_i(corpus):
     g = corpus["q8"]
     registry = TypeRegistry(g)
-    tid = tuple_z_type(g, (1,), registry)
+    t = commuting_tuple(g, (1,))
+    tid, _ = registry.lookup_or_register(centralizer(g, t), t)
     assert tid == 1
     assert registry.entry(tid).centralizer.order == 4
 
@@ -248,7 +253,8 @@ def test_tuple_z_type_gl3_regular_unipotent(corpus):
     by_scan = sum(1 for x in range(g.order) if g.commute(x, u))
     assert by_scan == 4
     registry = TypeRegistry(g)
-    tid = tuple_z_type(g, (u,), registry)
+    t = commuting_tuple(g, (u,))
+    tid, _ = registry.lookup_or_register(centralizer(g, t), t)
     entry = registry.entry(tid)
     assert entry.centralizer.order == 4
     assert entry.centralizer.is_abelian
@@ -261,9 +267,11 @@ def test_z_type_shared_across_tuple_lengths(corpus):
     minus_one = next(
         i for i in range(1, g.order) if centralizer(g, (i,)).order == g.order
     )
-    t1 = tuple_z_type(g, (1,), registry)
-    t2 = tuple_z_type(g, (1, minus_one, 1), registry)
-    assert t1 == t2
+    t1 = commuting_tuple(g, (1,))
+    t2 = commuting_tuple(g, (1, minus_one, 1))
+    tid1, new1 = registry.lookup_or_register(centralizer(g, t1), t1)
+    tid2, new2 = registry.lookup_or_register(centralizer(g, t2), t2)
+    assert tid1 == tid2 and (new1, new2) == (True, False)
 
 
 # Reference definitions: the plain scans over every member that the
@@ -373,12 +381,7 @@ def test_registry_key_is_a_conjugation_invariant(corpus):
 
 @pytest.mark.parametrize("name", ["s4", "gl2_f3", "gl3_f2"])
 def test_matrix_and_types_unchanged_under_conjugated_generators(corpus, name):
-    spec = corpus_spec(name)
-    if spec.kind == "permutation":
-        gens = [permutation_element(g) for g in spec.generators]
-    else:
-        field = field_create(spec.field.p, spec.field.k, spec.field.modulus)
-        gens = [matrix_element(field, g) for g in spec.generators]
+    gens = corpus_spec(name).generator_elements()
     carrier = gens[0].carrier
     h = carrier.mul(gens[0].data, carrier.mul(gens[-1].data, gens[0].data))
     h_inv = carrier.inv(h)

@@ -1,3 +1,4 @@
+import inspect
 import sys
 import time
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from commprob import branching, cli, conjugacy, counting
 from commprob.branching import branching_matrix, verify_structure
 from commprob.counting import (
+    ORACLE_CAP,
     FamilySpec,
     asymptotic_ratio,
     class_count,
@@ -252,9 +254,9 @@ def test_oracle_rows_from_one_pass_without_the_matrix(corpus, monkeypatch, capsy
     passes = []
     totals = counting._commuting_tuple_totals
 
-    def counted(group, kmax):
+    def counted(group, kmax, cap):
         passes.append(kmax)
-        return totals(group, kmax)
+        return totals(group, kmax, cap)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle reached the matrix machinery")
@@ -400,6 +402,25 @@ def test_oracle_cache_is_per_group_and_independent(monkeypatch):
 def test_oracle_cap(corpus):
     with pytest.raises(CapExceededError):
         oracle_class_count(corpus["gl3_f2"], 2, cap=100)
+
+
+@pytest.mark.parametrize(
+    "oracle,at_one",
+    [(oracle_class_counts, [11]), (oracle_class_count, 11), (commuting_tuple_total, 720)],
+    ids=["oracle_class_counts", "oracle_class_count", "commuting_tuple_total"],
+)
+def test_every_oracle_entry_point_refuses_alike(oracle, at_one):
+    # d < 1 is refused first, then a group above the cap, before its DAG
+    assert inspect.signature(oracle).parameters["cap"].default == ORACLE_CAP == 500
+    s6 = group_generate(symmetric_group(6), name="S6")
+    with pytest.raises(ValueError, match=r"^d must be >= 1$"):
+        oracle(s6, 0)
+    with pytest.raises(CapExceededError, match=r"^group of order 720 exceeds oracle cap 500$"):
+        oracle(s6, 2)
+    with pytest.raises(CapExceededError, match=r"^group of order 720 exceeds oracle cap 719$"):
+        oracle(s6, 2, cap=719)
+    assert s6._centralizer_dag is None
+    assert oracle(s6, 1, cap=720) == at_one  # S6 has 11 classes
 
 
 def test_commuting_count_examples(corpus):

@@ -364,14 +364,6 @@ def test_table_build_makes_no_carrier_products(monkeypatch):
     assert calls == []
 
 
-def spec_generators(spec):
-    """The generator elements of a parsed spec, as `build_group` makes them."""
-    if spec.kind == "permutation":
-        return [permutation_element(g) for g in spec.generators]
-    field = field_create(spec.field.p, spec.field.k, spec.field.modulus)
-    return [matrix_element(field, g) for g in spec.generators]
-
-
 def reference_closure(gens):
     """The closure by carrier products: breadth-first from the identity,
     left-multiplying by the generators and then their inverses.  Returns
@@ -394,10 +386,10 @@ def reference_closure(gens):
 
 
 CLOSURE_CASES = {
-    **{name: lambda name=name: spec_generators(corpus_spec(name)) for name in CORPUS_NAMES},
+    **{name: lambda name=name: corpus_spec(name).generator_elements() for name in CORPUS_NAMES},
     "gl2_f3_conjugated": conjugated_gl2_f3_generators,
-    "gl2_f4": lambda: spec_generators(parse_group_spec(GL2_F4_SPEC)),
-    "sl2_f8": lambda: spec_generators(parse_group_spec(SL2_F8_SPEC)),
+    "gl2_f4": lambda: parse_group_spec(GL2_F4_SPEC).generator_elements(),
+    "sl2_f8": lambda: parse_group_spec(SL2_F8_SPEC).generator_elements(),
     "gl2_f8": lambda: gl2_generators(2, (1, 0, 1, 1)),
     "gl2_f9": lambda: gl2_generators(3, (1, 0, 1)),
     "gl3_f3": lambda: gl3_generators(3),

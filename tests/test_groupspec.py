@@ -5,10 +5,12 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from commprob import groupspec
 from commprob.errors import GroupSpecParseError, GroupSpecValidationError
+from commprob.fields import field_create
+from commprob.groups import GroupElement
 from commprob.groupspec import (
     CORPUS_NAMES,
-    FieldSpec,
     GroupSpec,
     build_group,
     corpus_spec,
@@ -16,6 +18,7 @@ from commprob.groupspec import (
 )
 
 from conftest import CORPUS_ORDERS
+from test_groups import GL2_F4_SPEC
 
 S3_DOC = json.dumps(
     {
@@ -144,18 +147,69 @@ def test_permutation_spec_rejects_field():
         parse_group_spec(json.dumps(doc))
 
 
+# (p, k, modulus as written, modulus as kept): the field is built once, by
+# the parser, which keeps every coefficient reduced mod p
+EXTENSION_FIELDS = [
+    (2, 2, [1, 1, 1], (1, 1, 1)),
+    (2, 3, [1, 1, 0, 1], (1, 1, 0, 1)),
+    (3, 2, [1, 0, 1], (1, 0, 1)),
+    (3, 2, [4, -3, 1], (1, 0, 1)),
+]
+
+
 def test_extension_field_spec_round_trip():
-    doc = json.dumps(
-        {
-            "name": "scalars-F4",
-            "kind": "matrix",
-            "field": {"p": 2, "k": 2, "modulus": [1, 1, 1]},
-            "degree": 1,
-            "generators": [[[2]]],
-        }
-    )
-    group = build_group(parse_group_spec(doc))
-    assert group.order == 3
+    for p, k, written, kept in EXTENSION_FIELDS:
+        doc = json.dumps(
+            {
+                "name": f"scalars-F{p**k}",
+                "kind": "matrix",
+                "field": {"p": p, "k": k, "modulus": written},
+                "degree": 1,
+                "generators": [[[p + 1]]],  # x + 1, primitive in F4, F8 and F9
+            }
+        )
+        spec = parse_group_spec(doc)
+        assert spec.field == field_create(p, k, kept)
+        assert spec.field.modulus == kept
+        assert parse_group_spec(spec_document(spec)) == spec
+        assert build_group(spec).order == p**k - 1
+
+
+def test_spec_field_is_built_once(monkeypatch):
+    calls = []
+    original = groupspec.field_create
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groupspec, "field_create", counted)
+    spec = parse_group_spec(GL2_F4_SPEC)
+    group = build_group(spec)
+    assert calls == [(2, 2, (1, 1, 1))]
+    assert group.order == 180 and group.carrier.field is spec.field
+
+
+@pytest.mark.parametrize("document", [S3_DOC, GL2_F4_SPEC], ids=["permutation", "matrix"])
+def test_generator_elements_are_what_build_group_closes_over(monkeypatch, document):
+    closed_over = []
+    original = groupspec.group_generate
+
+    def recorded(gens, **kwargs):
+        closed_over.append(gens)
+        return original(gens, **kwargs)
+
+    monkeypatch.setattr(groupspec, "group_generate", recorded)
+    spec = parse_group_spec(document)
+    group = build_group(spec)
+    gens = spec.generator_elements()
+    assert closed_over == [gens]
+    assert all(isinstance(g, GroupElement) for g in gens)
+    assert [g.data for g in gens] == [
+        tuple(x for row in gen for x in row) if spec.kind == "matrix" else gen
+        for gen in spec.generators
+    ]
+    assert [group.element(i) for i in group.generators] == gens
 
 
 def test_corpus_orders(corpus):
@@ -248,7 +302,7 @@ def prime_matrix_specs(draw):
     rows = st.tuples(*[st.integers(0, p - 1)] * degree)
     matrix = st.tuples(*[rows] * degree).filter(lambda m: _determinant(m, p) != 0)
     gens = draw(st.lists(matrix, min_size=1, max_size=3))
-    return GroupSpec(draw(NAMES), "matrix", FieldSpec(p, 1), degree, tuple(gens))
+    return GroupSpec(draw(NAMES), "matrix", field_create(p, 1), degree, tuple(gens))
 
 
 @given(permutation_specs())

@@ -301,6 +301,24 @@ def test_degree_windows_match_degree_window():
         assert windows == [degree_window(matrix, d) for d in range(1, 41)], name
 
 
+def test_degree_windows_read_the_envelope_as_they_yield(monkeypatch):
+    # the windows past the walk come one at a time, so a long table costs
+    # nothing before its first row
+    reads = []
+    envelope_degree = symbolic._envelope_degree
+
+    def counted(lines, d):
+        reads.append(d)
+        return envelope_degree(lines, d)
+
+    monkeypatch.setattr(symbolic, "_envelope_degree", counted)
+    matrix = fixture("gl4")
+    windows = degree_windows(matrix, 10**6)
+    head = [next(windows) for _ in range(40)]
+    assert reads == list(range(EXACT_CHECK_DMAX + 1, 41))
+    assert head == [degree_window(matrix, d) for d in range(1, 41)]
+
+
 def test_degree_window_sweep_to_1000():
     for name in ("gl2", "gl3", "gl4"):
         matrix = fixture(name)
