@@ -24,6 +24,14 @@ Handbook of Computational Group Theory, section 4.1):
   in B for each generator a of A, since g A g^-1 is then a subgroup of B
   of the same order.  Candidates are tried in the same order as always,
   so the first witness is the same as when every member of A is tested.
+
+Every conjugation goes through `FiniteGroup.conj`, which costs
+2 * |word(s)| + 2 list reads for a conjugator s and no product.  A
+whole-group generator is a one-letter seed, so the whole group's classes
+cost 4 reads per member and generator; a subgroup's generators and the
+transporter's candidates pay for their words.  The only products left in
+the orbit searches are the stabilizer's transversal elements and Schreier
+generators and the closure that grows from them.
 """
 
 from __future__ import annotations
@@ -81,22 +89,16 @@ def commuting_tuple(group: FiniteGroup, indices) -> tuple[int, ...]:
     return t
 
 
-def _generator_pairs(group: FiniteGroup, h: Subgroup) -> list[tuple[int, int]]:
-    inv = group.inv
-    return [(s, inv(s)) for s in h.generators]
-
-
 def _stabilizer(group: FiniteGroup, k: Subgroup, x: int) -> Subgroup:
     """Stabilizer of x in K under conjugation, by orbit-stabilizer."""
-    mul, inv = group.mul, group.inv
-    pairs = _generator_pairs(group, k)
+    mul, inv, conj, gens = group.mul, group.inv, group.conj, k.generators
     orbit = [x]
     transversal = {x: 0}  # orbit point y -> u in K with u x u^-1 = y
     back_edges = []  # (z, s, u_y) for the search edges outside the tree
     for y in orbit:  # also visits the points appended below: breadth-first
         u = transversal[y]
-        for s, si in pairs:
-            z = mul(mul(s, y), si)
+        for s in gens:
+            z = conj(s, y)
             if z in transversal:
                 back_edges.append((z, s, u))
             else:
@@ -142,8 +144,7 @@ def conjugacy_classes(group: FiniteGroup, within: Subgroup | None = None) -> Cla
     h = subgroup_or_whole(group, within)
     if h._classes is not None:
         return h._classes
-    mul = group.mul
-    pairs = _generator_pairs(group, h)
+    conj, gens = group.conj, h.generators
     seen: set[int] = set()
     classes = []
     for x in h.members:
@@ -151,8 +152,8 @@ def conjugacy_classes(group: FiniteGroup, within: Subgroup | None = None) -> Cla
             continue
         orbit, reached = [x], {x}
         for y in orbit:  # also visits the points appended below
-            for s, si in pairs:
-                z = mul(mul(s, y), si)
+            for s in gens:
+                z = conj(s, y)
                 if z not in reached:
                     reached.add(z)
                     orbit.append(z)
@@ -172,17 +173,18 @@ def subgroup_conjugate(
 
     Exhaustive search over the whole group (or the given candidates in it),
     run only when the orders and the G-class multisets (`fingerprint`)
-    agree.  A candidate is tested on A's generators only.
+    agree.  A candidate is tested on A's generators only, in order, and
+    dropped at the first one it maps outside B.
     """
     if a.order != b.order or a.fingerprint != b.fingerprint:
         return None
     candidates = transporter if transporter is not None else range(group.order)
-    mul, inv = group.mul, group.inv
-    target = b.member_set
-    gens = a.generators
+    conj, target, gens = group.conj, b.member_set, a.generators
     for g in candidates:
-        gi = inv(g)
-        if all(mul(mul(g, x), gi) in target for x in gens):
+        for x in gens:
+            if conj(g, x) not in target:
+                break
+        else:
             return g
     return None
 

@@ -28,7 +28,8 @@ commutation mask, and evaluates every k by one dynamic programme over the
 DAG of centralizers reachable from G.  The masks are conjugated along
 conjugacy classes, C(h.r.h^-1) = h.C(r).h^-1: one scan of the group per
 non-central class, found by the oracle's own orbit search, so at most
-2|G|(|generators| + k(G)) products.  The masks and the DAG are built once
+2|G|k(G) products, plus |G| conjugations per generator (4 list reads
+each) for its conjugation tables.  The masks and the DAG are built once
 per group, on its first oracle call, and the DAG is cached on it; later
 calls run only the dynamic programme.  It uses nothing from the conjugacy
 classes or the branching matrix it checks.  Everything is exact:
@@ -196,23 +197,22 @@ def _commutation_masks(group: FiniteGroup) -> list[int]:
 
     C(h.r.h^-1) = h.C(r).h^-1, so the group is scanned once per conjugacy
     class, not once per element.  Conjugation by each generator is
-    tabulated as a permutation of the indices.  An element that every such
-    permutation fixes is central: it commutes with everything.  Each other
-    class is the orbit of its first element r under the permutations.  C(r)
-    comes from testing each non-central element against r: one whose class
-    is finished has bit r read from its mask, any other costs two products.
-    The member list of each other element of the class is its parent's
-    list pushed through the permutation that reached it.  That makes
-    2|G|(|generators| + k(G)) products at most, where testing every pair
-    would make |G|(|G| - 1).  Only `mul`, `inv` and `generators` are used.
+    tabulated as a permutation of the indices, |G| calls of `conj` per
+    generator and no product (a generator is a one-letter seed: 4 list
+    reads a call).  An element that every such permutation fixes is
+    central: it commutes with everything.  Each other class is the orbit of
+    its first element r under the permutations.  C(r) comes from testing
+    each non-central element against r: one whose class is finished has bit
+    r read from its mask, any other costs two products.  The member list of
+    each other element of the class is its parent's list pushed through the
+    permutation that reached it.  That makes 2|G|k(G) products at most,
+    where testing every pair would make |G|(|G| - 1).  Only `mul`, `conj`
+    and `generators` are used.
     """
-    n, mul, inv = group.order, group.mul, group.inv
-    conj = []
-    for s in group.generators:
-        s_inv = inv(s)
-        conj.append([mul(mul(s, x), s_inv) for x in range(n)])
+    n, mul, conj = group.order, group.mul, group.conj
+    perms = [[conj(s, x) for x in range(n)] for s in group.generators]
     full, n_bytes = (1 << n) - 1, (n + 7) // 8
-    comm = [full if all(p[x] == x for p in conj) else None for x in range(n)]
+    comm = [full if all(p[x] == x for p in perms) else None for x in range(n)]
     central = [x for x in range(n) if comm[x]]
     noncentral = [x for x in range(n) if not comm[x]]
     # a finished non-central mask is held as bytes until the end, so that
@@ -230,7 +230,7 @@ def _commutation_masks(group: FiniteGroup) -> list[int]:
         orbit = [r]
         for y in orbit:  # also visits the class elements appended below
             below = members[y]
-            for p in conj:
+            for p in perms:
                 z = p[y]
                 if z not in members:
                     members[z] = [p[m] for m in below]

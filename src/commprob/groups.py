@@ -34,6 +34,9 @@ depth of max(8, 2 * bit_length(|G|)), the element at that depth becomes a
 new letter (with its inverse), its action composed from its word, and the
 search starts again.  Words and inverses are built with the group, so no
 product after the closure costs a carrier product or a field operation.
+A conjugation uses g * x * g^-1 = g * (g * x^-1)^-1 (`FiniteGroup.conj`):
+it replays only the conjugator's word, twice, around two reads of the
+inverse table, 2 * |word(g)| + 2 list reads in all, or 4 when g is a seed.
 
 Every subgroup carries a generating set, and the scans over a subgroup
 (commutation, conjugation, closure) run over its generators rather than
@@ -290,8 +293,20 @@ class FiniteGroup:
         return self._inv_table[i]
 
     def conj(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
+        """g * x * g^-1, computed as g * (g * x^-1)^-1.
+
+        Only g's word is replayed, twice, between two reads of the inverse
+        table: 2 * |word(g)| + 2 list reads, so 4 for a seed (a whole-group
+        generator or its inverse, whose word is one letter).
+        """
+        inv, word = self._inv_table, self._words[g]
+        x = inv[x]
+        for act in word:
+            x = act[x]
+        x = inv[x]
+        for act in word:
+            x = act[x]
+        return x
 
     def commute(self, i: int, j: int) -> bool:
         return self.mul(i, j) == self.mul(j, i)
@@ -564,8 +579,11 @@ def subgroup_or_whole(group: FiniteGroup, within: Subgroup | None) -> Subgroup:
 
 
 def center(group: FiniteGroup, within: Subgroup | None = None) -> Subgroup:
-    """The centre of `within` (default the whole group): its members that
-    commute with each of its generators."""
+    """The centre of `within` (default the whole group): its members z with
+    s * z * s^-1 = z for each of its generators s, filtered one generator
+    at a time."""
     sub = subgroup_or_whole(group, within)
-    commute, gens = group.commute, sub.generators
-    return Subgroup(group, [z for z in sub.members if all(commute(z, s) for s in gens)])
+    conj, members = group.conj, sub.members
+    for s in sub.generators:
+        members = [z for z in members if conj(s, z) == z]
+    return Subgroup(group, members)

@@ -17,7 +17,9 @@ integer field must be a JSON integer (true and false are rejected), and the
 field order p^k may not exceed 2^20.
 The parser builds a matrix spec's field once, as `GroupSpec.field` (its
 modulus reduced mod p), and `GroupSpec.generator_elements` is the one place
-generators become group elements.
+generators become group elements.  The parse's singular check inverts each
+matrix generator once; `generator_elements` wraps the validated data, so
+`build_group` inverts it only once more, for the closure's seeds.
 """
 
 from __future__ import annotations
@@ -25,10 +27,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 
 from .errors import GroupSpecParseError, GroupSpecValidationError
 from .fields import MAX_FIELD_ORDER, Field, field_create, is_prime
-from .groups import FiniteGroup, GroupElement, group_generate, matrix_element, permutation_element
+from .groups import (
+    FiniteGroup,
+    GroupElement,
+    MatrixCarrier,
+    group_generate,
+    matrix_element,
+    permutation_element,
+)
 
 
 @dataclass(frozen=True)
@@ -43,10 +53,12 @@ class GroupSpec:
     generators: tuple
 
     def generator_elements(self) -> list[GroupElement]:
-        """The generators as group elements, in spec order."""
+        """The generators as group elements, in spec order.  Matrix rows are
+        wrapped as they are: the parse has already refused singular ones."""
         if self.kind == "permutation":
             return [permutation_element(g) for g in self.generators]
-        return [matrix_element(self.field, g) for g in self.generators]
+        carrier = MatrixCarrier(self.field, self.degree)
+        return [GroupElement(carrier, tuple(chain.from_iterable(g))) for g in self.generators]
 
 
 def _fail(path: str, message: str):

@@ -1,10 +1,10 @@
 import pytest
 
-from commprob import conjugacy
+from commprob import branching, conjugacy
 from commprob.branching import BranchingMatrix, branching_matrix, verify_structure
 from commprob.conjugacy import conjugacy_classes
 from commprob.counting import class_count_sequence
-from commprob.groups import center, group_generate, permutation_element
+from commprob.groups import center, group_generate, permutation_element, subgroup_or_whole
 from commprob.symbolic import exact_walk
 
 
@@ -158,14 +158,18 @@ def test_verify_reads_the_partitions_branching_made(corpus, large_groups, monkey
     # branching_matrix partitions each non-abelian type in z_classes, and
     # verify_structure reads those partitions.  An abelian type's column is
     # closed without its classes, so verify partitions it, once.
-    pairs = conjugacy._generator_pairs
+    # a call that finds no partition cached on its subgroup makes one
+    partition = conjugacy.conjugacy_classes
     partitioned = []
 
-    def counted(group, h):
-        partitioned.append(h)
-        return pairs(group, h)
+    def counted(group, within=None):
+        h = subgroup_or_whole(group, within)
+        if h._classes is None:
+            partitioned.append(h)
+        return partition(group, within)
 
-    monkeypatch.setattr(conjugacy, "_generator_pairs", counted)
+    for module in (conjugacy, branching):
+        monkeypatch.setattr(module, "conjugacy_classes", counted)
     for name, group in dict(corpus, s7=large_groups["s7"]).items():
         matrix, registry = branching_matrix(group)
         cents = [entry.centralizer for entry in registry.types]

@@ -163,6 +163,24 @@ def test_invalid_spec_file_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_singular_generator_spec_exits_2(tmp_path, capsys):
+    path = tmp_path / "singular.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "singular",
+                "kind": "matrix",
+                "field": {"p": 3},
+                "degree": 2,
+                "generators": [[[1, 1], [0, 1]], [[1, 2], [2, 1]]],  # det = 0 mod 3
+            }
+        )
+    )
+    code, out, err = invoke(capsys, "classes", str(path))
+    assert code == 2 and out == ""
+    assert "generators[1]" in err and "singular" in err
+
+
 def test_cpd_oracle_refuses_an_over_cap_group_before_counting(tmp_path, capsys, monkeypatch):
     # S6 has 720 elements, above the oracle's default cap of 500
     path = tmp_path / "s6.json"

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from commprob import groups as groups_module
-from commprob.conjugacy import centralizer
+from commprob.branching import branching_matrix
+from commprob.conjugacy import centralizer, conjugacy_classes, subgroup_conjugate
 from commprob.counting import family_order
 from commprob.errors import CapExceededError, ElementNotInGroupError, MixedCarriersError
 from commprob.fields import field_create
 from commprob.groups import (
+    FiniteGroup,
     GroupElement,
     Subgroup,
     center,
@@ -130,6 +132,43 @@ def test_center_examples(corpus):
     d4 = centralizer(s4, (x,))  # a dihedral group of order 8
     assert d4.order == 8
     assert center(s4, within=d4).members == (0, x)
+
+
+def test_center_of_every_registered_type_matches_brute_force(corpus):
+    groups = [*corpus.values(), conjugated_gl2_f3()]
+    for group in groups:
+        _, registry = branching_matrix(group)
+        for entry in registry.types:
+            h = entry.centralizer
+            expected = [
+                z for z in h.members if all(group.mul(z, x) == group.mul(x, z) for x in h.members)
+            ]
+            assert center(group, within=h).members == tuple(expected), (group, entry)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_conjugation_scans_make_no_product(monkeypatch, name):
+    # classes, centres and transporter candidates conjugate through
+    # `FiniteGroup.conj`, which replays words without calling `mul`
+    group = corpus_group(name)
+    subgroups = [Subgroup.whole(group)]
+    subgroups += [centralizer(group, (x,)) for x in range(1, min(group.order, 12))]
+    calls = []
+    original = FiniteGroup.mul
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return original(self, i, j)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counted)
+    conjugacy_classes(group)
+    for h in subgroups:
+        center(group, within=h)
+        conjugacy_classes(group, within=h)
+        for k in subgroups:
+            subgroup_conjugate(group, h, k)
+    assert calls == []
+    assert group.mul(0, 0) == 0 and calls == [(0, 0)]  # the counter is live
 
 
 def test_extension_field_matrix_group():
@@ -268,7 +307,9 @@ def word_bound(group):
 
 def assert_mul_inv_match_carrier(group, pairs=None, seed=13):
     """Products against carrier products, on every pair or on `pairs` seeded
-    ones; every inverse against the carrier inverse; words within the bound."""
+    ones, and conjugation against its two products on the same pairs; every
+    inverse against the carrier inverse; words within the bound, and one
+    letter for each generator."""
     carrier, n = group.carrier, group.order
     elements = [group.element(i).data for i in range(n)]
 
@@ -282,8 +323,10 @@ def assert_mul_inv_match_carrier(group, pairs=None, seed=13):
         todo = [(rng.randrange(n), rng.randrange(n)) for _ in range(pairs)]
     for a, b in todo:
         assert group.mul(a, b) == index(carrier.mul(elements[a], elements[b])), (a, b)
+        assert group.conj(a, b) == group.mul(group.mul(a, b), group.inv(a)), (a, b)
     assert [group.inv(a) for a in range(n)] == [index(carrier.inv(a)) for a in elements]
     assert max(len(word) for word in group._words) <= word_bound(group)
+    assert all(len(group._words[s]) == 1 for s in group.generators)
 
 
 # The test ids below predate the single multiplication path; each one now

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from commprob import groupspec
 from commprob.errors import GroupSpecParseError, GroupSpecValidationError
 from commprob.fields import field_create
-from commprob.groups import GroupElement
+from commprob.groups import GroupElement, MatrixCarrier
 from commprob.groupspec import (
     CORPUS_NAMES,
     GroupSpec,
@@ -210,6 +210,22 @@ def test_generator_elements_are_what_build_group_closes_over(monkeypatch, docume
         for gen in spec.generators
     ]
     assert [group.element(i) for i in group.generators] == gens
+
+
+def test_build_group_inverts_each_matrix_generator_at_most_twice(monkeypatch):
+    # once for the parse's singular check, once for the closure's seeds
+    calls = []
+    original = MatrixCarrier.inv
+
+    def counted(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(MatrixCarrier, "inv", counted)
+    spec = parse_group_spec(GL2_F4_SPEC)
+    assert len(calls) == 3
+    assert build_group(spec).order == 180
+    assert len(calls) <= 6
 
 
 def test_corpus_orders(corpus):
