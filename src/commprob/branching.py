@@ -22,7 +22,7 @@ from .conjugacy import conjugacy_classes, subgroup_conjugate, z_classes
 from .errors import PreconditionError, UnknownTypeError
 from .groups import FiniteGroup, Subgroup, center
 from .report import CheckResult, StructureReport
-from .symbolic import exact_power, exact_walk, topological_order
+from .symbolic import exact_power, exact_walk, shape_checks, topological_order
 
 
 @dataclass(frozen=True)
@@ -158,35 +158,27 @@ def branching_matrix(group: FiniteGroup) -> tuple[BranchingMatrix, TypeRegistry]
 def verify_structure(matrix: BranchingMatrix, registry: TypeRegistry) -> StructureReport:
     """Check the structural properties of a finite branching matrix.
 
-    Returns a per-property report; a failing check carries the offending
-    coordinates so tampered matrices are easy to diagnose.
+    The diagonal entry of each type is the order of its centralizer's
+    centre; then come the five `symbolic.shape_checks` (zero entries
+    absent, the types' depths and abelian flags from the registry), no
+    cycle but the loops, and column sums equal to the centralizers' class
+    counts.  A failing check carries the offending coordinates so tampered
+    matrices are easy to diagnose.
     """
     group = registry.group
-    checks = []
     entries = matrix.entries
     beta = matrix.size
+    types = [registry.entry(i) for i in range(beta)]
 
-    center_orders = [center(group, within=registry.entry(i).centralizer).order for i in range(beta)]
-    ok, detail = True, ""
-    for i in range(beta):
-        if entries[i][i] != center_orders[i]:
-            ok, detail = False, f"diagonal at type {i}: {entries[i][i]} != {center_orders[i]}"
+    detail = ""
+    for i, entry in enumerate(types):
+        order = center(group, within=entry.centralizer).order
+        if entries[i][i] != order:
+            detail = f"diagonal at type {i}: {entries[i][i]} != {order}"
             break
-    checks.append(CheckResult("diagonal_is_center_order", ok, detail))
-
-    ok = entries[0][0] == center_orders[0]
-    checks.append(
-        CheckResult("first_entry_is_group_center", ok, "" if ok else f"(0,0)={entries[0][0]}")
-    )
-
-    bad = [j for j in range(1, beta) if entries[0][j] != 0]
-    checks.append(
-        CheckResult("first_row_zero_after_diagonal", not bad, f"columns {bad}" if bad else "")
-    )
-
-    bad = [i for i in range(1, beta) if not any(entries[i][j] for j in range(i))]
-    checks.append(
-        CheckResult("prediagonal_entry_every_row", not bad, f"rows {bad}" if bad else "")
+    checks = [CheckResult("diagonal_is_center_order", not detail, detail)]
+    checks += shape_checks(
+        entries, 0, [t.depth for t in types], [t.centralizer.is_abelian for t in types]
     )
 
     # a nonzero entry (a, tau) off the diagonal puts C(a) properly inside a
@@ -198,37 +190,14 @@ def verify_structure(matrix: BranchingMatrix, registry: TypeRegistry) -> Structu
         detail = str(exc)
     checks.append(CheckResult("acyclic_apart_from_loops", not detail, detail))
 
-    ok, detail = True, ""
-    for j in range(beta):
-        sub = registry.entry(j).centralizer
-        if not sub.is_abelian:
-            continue
-        nonzero = [i for i in range(beta) if entries[i][j]]
-        if nonzero != [j] or entries[j][j] != sub.order:
-            ok, detail = False, f"abelian column for type {j}"
-            break
-    checks.append(CheckResult("abelian_columns_diagonal_only", ok, detail))
-
-    ok, detail = True, ""
-    for j in range(beta):
-        sub = registry.entry(j).centralizer
-        expected = conjugacy_classes(group, within=sub).count
-        got = sum(entries[i][j] for i in range(beta))
+    detail = ""
+    for j, entry in enumerate(types):
+        expected = conjugacy_classes(group, within=entry.centralizer).count
+        got = sum(row[j] for row in entries)
         if got != expected:
-            ok, detail = False, f"column {j} sums to {got}, classes {expected}"
+            detail = f"column {j} sums to {got}, classes {expected}"
             break
-    checks.append(CheckResult("column_sums_are_class_counts", ok, detail))
-
-    expected = conjugacy_classes(group).count
-    got = sum(entries[i][0] for i in range(beta))
-    checks.append(
-        CheckResult(
-            "first_column_counts_group_classes",
-            got == expected,
-            "" if got == expected else f"{got} != {expected}",
-        )
-    )
+    checks.append(CheckResult("column_sums_are_class_counts", not detail, detail))
 
     checks.append(CheckResult("finite_size", beta == len(registry) > 0, ""))
     return StructureReport(tuple(checks))
-

@@ -33,10 +33,6 @@ from .groupspec import CORPUS_NAMES, build_group, corpus_spec, load_group_spec
 from .symbolic import degree_windows, fixture, fixture_names, verify_symbolic_structure
 
 
-def _frac(x) -> str:
-    return str(Fraction(x))
-
-
 def _resolve_group(argument: str):
     if os.path.exists(argument):
         spec = load_group_spec(argument)
@@ -160,7 +156,7 @@ def cmd_cpd(args) -> int:
             str(d),
             str(counts[d]),
             str(tuple_count),
-            _frac(Fraction(tuple_count, group.order**d)),
+            str(Fraction(tuple_count, group.order**d)),
         ]
         if args.oracle:
             oracle = oracle_counts[d - 1]
@@ -182,13 +178,13 @@ def cmd_ratio(args) -> int:
     lines = ["d,class_count,ratio,delta"]
     prev = None
     for d, ratio in enumerate(report.ratios, start=1):
-        delta = "" if prev is None else _frac(abs(ratio - prev))
-        lines.append(f"{d},{report.counts[d]},{_frac(ratio)},{delta}")
+        delta = "" if prev is None else str(abs(ratio - prev))
+        lines.append(f"{d},{report.counts[d]},{ratio},{delta}")
         prev = ratio
     lines.append("")
     lines.append(f"max_abelian,{report.max_abelian_order}")
-    lines.append(f"estimate,{_frac(report.estimate)}")
-    lines.append(f"last_delta,{_frac(report.last_delta)}")
+    lines.append(f"estimate,{report.estimate}")
+    lines.append(f"last_delta,{report.last_delta}")
     _emit(lines, args.output)
     return 0
 
@@ -212,10 +208,7 @@ def cmd_symbolic(args) -> int:
         "d,degree,cp_lower,cp_upper,window_lower,window_upper",
     ]
     for d, w in enumerate(degree_windows(matrix, args.d), start=1):
-        lines.append(
-            f"{d},{w.degree},{_frac(w.cp_lower)},{_frac(w.cp_upper)},"
-            f"{_frac(w.window_low)},{_frac(w.window_high)}"
-        )
+        lines.append(f"{d},{w.degree},{w.cp_lower},{w.cp_upper},{w.window_low},{w.window_high}")
     _emit(lines, args.output)
     if not report.ok:
         print("symbolic checks failed", file=sys.stderr)
@@ -229,11 +222,11 @@ def cmd_family(args) -> int:
     header = "family,size,q,order,max_abelian,base"
     row = (
         f"{spec.family},{spec.size},{spec.q},{result.order},"
-        f"{result.max_abelian_order},{_frac(result.base)}"
+        f"{result.max_abelian_order},{result.base}"
     )
     if args.d is not None:
         header += ",d,base_power"
-        row += f",{args.d},{_frac(family_base_power(result.base, args.d - 1))}"
+        row += f",{args.d},{family_base_power(result.base, args.d - 1)}"
     _emit([header, row], args.output)
     return 0
 

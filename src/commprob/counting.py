@@ -58,6 +58,8 @@ from .groups import FiniteGroup, Subgroup
 def class_count(group: FiniteGroup, d: int) -> int:
     """Number of simultaneous conjugacy classes of commuting d-tuples, from
     the group's certified exponential sum (`class_count_form`)."""
+    if not isinstance(d, int):
+        raise ValueError(f"d must be an int, got {d!r}")
     if d < 0:
         raise ValueError("d must be >= 0")
     bases, numerators, denominator = _certified_form(branching_matrix(group)[0])

@@ -176,6 +176,8 @@ def field_create(p: int, k: int, modulus=None) -> Field:
     required; it is checked irreducible by exhaustive trial division,
     which is fast for the intended range p^k <= MAX_FIELD_ORDER (2**20).
     """
+    if not (isinstance(p, int) and isinstance(k, int)):
+        raise ValueError(f"p and k must be ints, got {p!r} and {k!r}")
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     if k < 1:
@@ -186,7 +188,9 @@ def field_create(p: int, k: int, modulus=None) -> Field:
         return Field(p, 1, None)
     if modulus is None:
         raise ValueError("extension fields require an explicit modulus")
-    mod = tuple(int(c) % p for c in modulus)
+    if not all(isinstance(c, int) for c in modulus):
+        raise ValueError(f"modulus coefficients must be ints, got {list(modulus)}")
+    mod = tuple(c % p for c in modulus)
     if len(mod) != k + 1:
         raise ValueError(f"modulus must have degree {k}, got length {len(mod)}")
     if mod[-1] != 1:

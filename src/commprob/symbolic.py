@@ -51,10 +51,12 @@ class PsiPoly:
     def __init__(self, coeffs=None):
         clean = {}
         for deg, c in (coeffs or {}).items():
+            if not (isinstance(deg, int) and isinstance(c, int)):
+                raise ValueError(f"exponents and coefficients must be ints, got {deg!r}: {c!r}")
             if c < 0:
                 raise ValueError("coefficients must be non-negative")
             if c:
-                clean[int(deg)] = int(c)
+                clean[deg] = c
         self.coeffs = clean
 
     @classmethod
@@ -165,6 +167,14 @@ class PsiMatrix:
         return [list(row) for row in self.grid]
 
 
+def _grid_exponent(e) -> int:
+    if e is None:
+        return -1
+    if not isinstance(e, int):
+        raise ValueError(f"exponents must be ints or None, got {e!r}")
+    return max(e, -1)
+
+
 def psi_matrix_from_exponents(
     name: str,
     grid,
@@ -174,8 +184,8 @@ def psi_matrix_from_exponents(
     depths=None,
     abelian=None,
 ) -> PsiMatrix:
-    """Build a PsiMatrix from an exponent grid; -1 (or None) marks zeros."""
-    rows = tuple(tuple(-1 if e is None or e < 0 else int(e) for e in row) for row in grid)
+    """Build a PsiMatrix from an int exponent grid; -1 (or None) marks zeros."""
+    rows = tuple(tuple(_grid_exponent(e) for e in row) for row in grid)
     size = len(rows)
     if size == 0:
         raise ValueError("exponent grid must not be empty")
@@ -443,6 +453,8 @@ def first_column_degree(matrix: PsiMatrix, d: int) -> int:
     Every larger d reads the single degree off `degree_envelope`, in
     O(beta^3) whatever d is.
     """
+    if not isinstance(d, int):
+        raise ValueError(f"d must be an int, got {d!r}")
     if d < 1:
         raise ValueError("d must be >= 1")
     if d <= _walked_dmax(matrix):
@@ -552,6 +564,8 @@ def diagonal_degree_interval(entries, l: int, r: int) -> DegreeInterval:
     delta <= l < m and the degree lands in [r - m, r].
     """
     m = len(entries)
+    if not (isinstance(l, int) and isinstance(r, int)):
+        raise PreconditionError(f"row and power must be ints, got {l!r} and {r!r}")
     if r < 2:
         raise PreconditionError("power r must be >= 2")
     if not 0 <= l < m:
@@ -596,16 +610,64 @@ def _steps_from_first(entries, target: int) -> int | None:
     return distance.get(target)
 
 
+def shape_checks(grid, zero, depths, abelian) -> list[CheckResult]:
+    """The five shape checks that every branching matrix, finite or
+    symbolic, passes; exactly the entries of `grid` above `zero` are present.
+
+    depths and abelian label the type behind each row/column: a present
+    first-column entry exactly on the depth-one rows, a zero first row
+    after the corner, a pre-diagonal entry in every later row, abelian
+    columns present only on the diagonal, and the largest entry (alpha)
+    on the diagonal of an abelian type.
+    """
+    size = len(grid)
+    present = [[x > zero for x in row] for row in grid]
+    checks = []
+
+    bad = [i for i in range(size) if present[i][0] != (depths[i] == 1)]
+    checks.append(
+        CheckResult("first_column_is_depth_one", not bad, f"rows {bad}" if bad else "")
+    )
+
+    bad = [j for j in range(1, size) if present[0][j]]
+    checks.append(
+        CheckResult("first_row_zero_after_corner", not bad, f"columns {bad}" if bad else "")
+    )
+
+    bad = [i for i in range(1, size) if not any(present[i][:i])]
+    checks.append(
+        CheckResult("prediagonal_entry_every_row", not bad, f"rows {bad}" if bad else "")
+    )
+
+    detail = ""
+    for j in range(size):
+        if abelian[j]:
+            nonzero = [i for i in range(size) if present[i][j]]
+            if nonzero != [j]:
+                detail = f"abelian column {j} supported on rows {nonzero}"
+                break
+    checks.append(CheckResult("abelian_columns_diagonal_only", not detail, detail))
+
+    alpha = max((x for row in grid for x in row), default=zero)
+    diag_max = max((grid[i][i] for i in range(size) if abelian[i]), default=zero)
+    if alpha <= zero:
+        detail = "matrix has no nonzero entry"
+    elif not any(abelian):
+        detail = f"alpha={alpha}, no abelian type"
+    elif alpha != diag_max:
+        detail = f"alpha={alpha}, abelian diagonal max={diag_max}"
+    else:
+        detail = ""
+    checks.append(CheckResult("max_degree_on_abelian_diagonal", not detail, detail))
+    return checks
+
+
 def verify_symbolic_structure(matrix: PsiMatrix) -> StructureReport:
     """Structural checks for a symbolic branching matrix.
 
-    Mirrors the finite-group checks with exponents: monomial diagonal with
-    psi^center_dim in the corner, zero first row after the corner, first
-    column supported on the depth-one rows, a pre-diagonal entry in every
-    later row, abelian columns concentrated on the diagonal, and finite
-    size with the maximal degree realised on an abelian diagonal entry.
+    A monomial diagonal with psi^center_dim in the corner, then the five
+    `shape_checks` on the exponent grid, -1 marking its zero entries.
     """
-    checks = []
     grid = matrix.grid
     size = matrix.size
     if len(matrix.depths) != size or len(matrix.abelian) != size:
@@ -613,45 +675,9 @@ def verify_symbolic_structure(matrix: PsiMatrix) -> StructureReport:
 
     corner = grid[0][0]
     ok = corner >= 0 and corner == matrix.center_dim
-    checks.append(CheckResult("corner_is_center_dim", ok, "" if ok else repr(_monomial(corner))))
+    checks = [CheckResult("corner_is_center_dim", ok, "" if ok else repr(_monomial(corner)))]
 
     bad = [(i, i) for i in range(size) if grid[i][i] < 0]
     checks.append(CheckResult("diagonal_monomials", not bad, f"{bad}" if bad else ""))
-
-    bad = [i for i in range(size) if (grid[i][0] >= 0) != (matrix.depths[i] == 1)]
-    checks.append(
-        CheckResult("first_column_is_depth_one", not bad, f"rows {bad}" if bad else "")
-    )
-
-    bad = [j for j in range(1, size) if grid[0][j] >= 0]
-    checks.append(
-        CheckResult("first_row_zero_after_corner", not bad, f"columns {bad}" if bad else "")
-    )
-
-    bad = [i for i in range(1, size) if not any(grid[i][j] >= 0 for j in range(i))]
-    checks.append(
-        CheckResult("prediagonal_entry_every_row", not bad, f"rows {bad}" if bad else "")
-    )
-
-    ok, detail = True, ""
-    for j in range(size):
-        if not matrix.abelian[j]:
-            continue
-        nonzero = [i for i in range(size) if grid[i][j] >= 0]
-        if nonzero != [j]:
-            ok, detail = False, f"abelian column {j} supported on rows {nonzero}"
-            break
-    checks.append(CheckResult("abelian_columns_diagonal_only", ok, detail))
-
-    alpha = max((e for row in grid for e in row), default=-1)
-    diag_max = max((grid[i][i] for i in range(size) if matrix.abelian[i]), default=-1)
-    if alpha < 0:
-        detail = "matrix has no nonzero entry"
-    elif not any(matrix.abelian):
-        detail = f"alpha={alpha}, no abelian type"
-    elif alpha != diag_max:
-        detail = f"alpha={alpha}, abelian diagonal max={diag_max}"
-    else:
-        detail = ""
-    checks.append(CheckResult("max_degree_on_abelian_diagonal", not detail, detail))
+    checks += shape_checks(grid, -1, matrix.depths, matrix.abelian)
     return StructureReport(tuple(checks))

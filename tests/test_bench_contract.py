@@ -138,6 +138,9 @@ def test_finite_pipeline_reaches_the_spans_the_tracer_times(monkeypatch):
     [
         ("finite_table", "q8"),
         ("symbolic", "window:gl4:24"),
+        ("symbolic", "verify:gl2"),
+        ("symbolic", "verify:gl3"),
+        ("symbolic", "verify:gl4"),
         ("warm_queries", "cli:symbolic --fixture gl4 --d 2000"),
     ],
 )

@@ -5,7 +5,9 @@ from commprob.branching import BranchingMatrix, branching_matrix, verify_structu
 from commprob.conjugacy import conjugacy_classes
 from commprob.counting import class_count_sequence
 from commprob.groups import center, group_generate, permutation_element, subgroup_or_whole
-from commprob.symbolic import exact_walk
+from commprob.symbolic import exact_walk, fixture, verify_symbolic_structure
+
+from test_groups import conjugated_gl2_f3
 
 
 def test_s3_matrix_exact(corpus):
@@ -42,12 +44,72 @@ def test_structure_check_fails_on_tampered_matrix(corpus):
     bad[0][1] = 5
     report = verify_structure(BranchingMatrix(bad), registry)
     assert not report.ok
-    assert any(c.name == "first_row_zero_after_diagonal" for c in report.failures())
+    assert any(c.name == "first_row_zero_after_corner" for c in report.failures())
+
+
+SHAPE_CHECKS = [
+    "first_column_is_depth_one",
+    "first_row_zero_after_corner",
+    "prediagonal_entry_every_row",
+    "abelian_columns_diagonal_only",
+    "max_degree_on_abelian_diagonal",
+]
+
+
+def test_finite_and_symbolic_reports_share_the_shape_checks(corpus):
+    finite = verify_structure(*branching_matrix(corpus["s4"]))
+    assert [c.name for c in finite.checks] == [
+        "diagonal_is_center_order",
+        *SHAPE_CHECKS,
+        "acyclic_apart_from_loops",
+        "column_sums_are_class_counts",
+        "finite_size",
+    ]
+    symbolic = verify_symbolic_structure(fixture("gl4"))
+    assert [c.name for c in symbolic.checks] == [
+        "corner_is_center_dim",
+        "diagonal_monomials",
+        *SHAPE_CHECKS,
+    ]
+
+
+def test_finite_reports_pass_the_depth_and_alpha_checks(corpus, large_groups):
+    groups = dict(corpus, gl2_f3_conjugated=conjugated_gl2_f3(), **large_groups)
+    for name, group in groups.items():
+        report = verify_structure(*branching_matrix(group))
+        assert report.ok, (name, report.summary())
+        checks = {c.name: c.passed for c in report.checks}
+        assert checks["first_column_is_depth_one"], name
+        assert checks["max_degree_on_abelian_diagonal"], name
+
+
+def named_check(report, name):
+    (check,) = [c for c in report.checks if c.name == name]
+    return check
+
+
+def test_tampered_s4_fails_the_depth_and_alpha_checks(corpus):
+    matrix, registry = branching_matrix(corpus["s4"])
+    (deep,) = [tid for tid, t in enumerate(registry.types) if t.depth > 1]
+    bad = [list(r) for r in matrix.entries]
+    bad[deep][0] = 1  # a depth-two type met in the first column
+    check = named_check(
+        verify_structure(BranchingMatrix(bad), registry), "first_column_is_depth_one"
+    )
+    assert (check.passed, check.detail) == (False, f"rows {[deep]}")
+
+    diag = max(matrix.entries[t][t] for t in registry.abelian_type_ids())
+    bad = [list(r) for r in matrix.entries]
+    bad[1][0] = diag + 1  # an off-diagonal entry above every abelian order
+    check = named_check(
+        verify_structure(BranchingMatrix(bad), registry), "max_degree_on_abelian_diagonal"
+    )
+    detail = f"alpha={diag + 1}, abelian diagonal max={diag}"
+    assert (check.passed, check.detail) == (False, detail)
 
 
 def acyclic_check(report):
-    (check,) = [c for c in report.checks if c.name == "acyclic_apart_from_loops"]
-    return check
+    return named_check(report, "acyclic_apart_from_loops")
 
 
 def test_corpus_matrices_are_acyclic_apart_from_loops(corpus):

@@ -143,6 +143,14 @@ def test_class_count_form_of_the_trivial_group():
         class_count(trivial, -1)
 
 
+def test_single_counts_refuse_a_non_int_d(corpus):
+    q8 = corpus["q8"]
+    for call, d in ((class_count, 2.0), (commuting_count, 3.0), (cp, 3.0)):
+        with pytest.raises(ValueError, match="d must be an int"):
+            call(q8, d)
+    assert class_count(q8, 2) == 22
+
+
 @pytest.mark.parametrize(
     "name,kappa",
     [("s4", Fraction(7, 6)), ("q8", Fraction(3, 2)), ("gl2_f3", Fraction(1, 2)),

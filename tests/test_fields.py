@@ -45,6 +45,19 @@ def test_modulus_shape_validation():
 
 
 @pytest.mark.parametrize(
+    "args,message",
+    [
+        ((2.0, 1), "p and k must be ints"),
+        ((3, 2.0, (1, 0, 1)), "p and k must be ints"),
+        ((2, 2, (1.9, 1, 1)), "modulus coefficients must be ints"),
+    ],
+)
+def test_field_create_refuses_non_int_arguments(args, message):
+    with pytest.raises(ValueError, match=message):
+        field_create(*args)
+
+
+@pytest.mark.parametrize(
     "field",
     [
         field_create(2, 1),

@@ -192,6 +192,21 @@ def test_psi_poly_basics():
         PsiPoly({1: -1})
 
 
+@pytest.mark.parametrize("coeffs", [{1: 0.5}, {1.7: 2}, {1: 2.0}])
+def test_psi_poly_refuses_non_int_exponents_and_coefficients(coeffs):
+    # a fractional coefficient would be stored as a false-looking zero
+    # term, breaking the rule that exactly the zero entries are false
+    with pytest.raises(ValueError, match="must be ints"):
+        PsiPoly(coeffs)
+
+
+def test_exponent_grid_takes_ints_and_none_only():
+    with pytest.raises(ValueError, match="exponents must be ints or None"):
+        psi_matrix_from_exponents("t", [[1.5, -1], [1, 2]], 4, 2)
+    matrix = psi_matrix_from_exponents("t", [[1, None], [1, -3]], 4, 2)
+    assert matrix.grid == ((1, -1), (1, -1))
+
+
 def test_psi_poly_ring_laws():
     rng = random.Random(5)
 
@@ -216,6 +231,15 @@ def test_first_column_degree_examples():
     gl2 = fixture("gl2")
     assert first_column_degree(gl2, 1) == 2
     assert first_column_degree(gl2, 2) == 4
+
+
+def test_first_column_degree_refuses_a_non_int_d():
+    gl2 = fixture("gl2")
+    for call in (first_column_degree, degree_window, cp_bounds):
+        with pytest.raises(ValueError, match="d must be an int"):
+            call(gl2, 30.0)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        first_column_degree(gl2, 0)
 
 
 def test_gl2_square_first_column_exact():
@@ -552,6 +576,13 @@ def test_diagonal_degree_interval_preconditions():
         diagonal_degree_interval([[1]], 0, 1)  # r too small
     with pytest.raises(PreconditionError):
         diagonal_degree_interval([[1, 0], [1, 1]], 5, 3)  # row out of range
+
+
+def test_diagonal_degree_interval_refuses_non_int_row_or_power():
+    entries = [[1, 0], [1, 1]]
+    for l, r in ((1, 2.5), (1.0, 3)):
+        with pytest.raises(PreconditionError, match="row and power must be ints"):
+            diagonal_degree_interval(entries, l, r)
 
 
 def random_condition_matrix(rng, m, max_entry=3):
