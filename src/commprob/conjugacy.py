@@ -18,8 +18,7 @@ Handbook of Computational Group Theory, section 4.1):
   subgroup K records, for each orbit point y, a transversal element u_y
   with u_y x u_y^-1 = y.  Every search edge y -> z = s y s^-1 that is not
   a tree edge gives a Schreier generator u_z^-1 s u_y, which fixes x;
-  together they generate the stabilizer (Schreier's lemma).  The known
-  order |K| / |orbit| stops the closure as soon as it is reached.
+  together they generate the stabilizer (Schreier's lemma).
 - A transporter candidate g maps A onto B when |A| = |B| and g a g^-1 lies
   in B for each generator a of A, since g A g^-1 is then a subgroup of B
   of the same order.  Candidates are tried in the same order as always,
@@ -30,8 +29,9 @@ Every conjugation goes through `FiniteGroup.conj`, which costs
 whole-group generator is a one-letter seed, so the whole group's classes
 cost 4 reads per member and generator; a subgroup's generators and the
 transporter's candidates pay for their words.  The only products left in
-the orbit searches are the stabilizer's transversal elements and Schreier
-generators and the closure that grows from them.
+the orbit searches are the stabilizer's transversal elements, and its
+Schreier generators and closure (`groups.close_subgroup`), which stop as
+soon as it holds |K| / |orbit| elements.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotCommutingError
-from .groups import FiniteGroup, Subgroup, extend_subgroup, subgroup_or_whole
+from .groups import FiniteGroup, Subgroup, close_subgroup, is_int, subgroup_or_whole
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,11 @@ class ZClass:
 
 
 def commuting_tuple(group: FiniteGroup, indices) -> tuple[int, ...]:
-    """Validate pairwise commutation and return the tuple of indices."""
-    t = tuple(int(i) for i in indices)
+    """Validate int indices and pairwise commutation; return the indices."""
+    t = tuple(indices)
     for i in t:
+        if not is_int(i):
+            raise ValueError(f"element index {i!r} is not an int")
         group.check_index(i)
     for a in range(len(t)):
         for b in range(a + 1, len(t)):
@@ -106,15 +108,9 @@ def _stabilizer(group: FiniteGroup, k: Subgroup, x: int) -> Subgroup:
                 orbit.append(z)
     if len(orbit) == 1:
         return k
-    order = k.order // len(orbit)
-    elements, seen, gens = [0], {0}, []
-    for z, s, u in back_edges:
-        if len(elements) == order:
-            break
-        h = mul(inv(transversal[z]), mul(s, u))
-        if h not in seen:
-            extend_subgroup(mul, elements, seen, gens, h)
-    return Subgroup(group, elements, gens)
+    schreier = (mul(inv(transversal[z]), mul(s, u)) for z, s, u in back_edges)
+    members, gens = close_subgroup(mul, schreier, k.order // len(orbit))
+    return Subgroup(group, members, gens)
 
 
 def centralizer(group: FiniteGroup, tup, within: Subgroup | None = None) -> Subgroup:

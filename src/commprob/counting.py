@@ -26,12 +26,15 @@ count of G on commuting d-tuples is |C_{d+1}(G)| / |G| where
 each member set as an int bitmask, takes every centralizer as an AND with a
 commutation mask, and evaluates every k by one dynamic programme over the
 DAG of centralizers reachable from G.  The masks are conjugated along
-conjugacy classes, C(h.r.h^-1) = h.C(r).h^-1: one scan of the group per
-non-central class, found by the oracle's own orbit search, so at most
-2|G|k(G) products, plus |G| conjugations per generator (4 list reads
-each) for its conjugation tables.  The masks and the DAG are built once
-per group, on its first oracle call, and the DAG is cached on it; later
-calls run only the dynamic programme.  It uses nothing from the conjugacy
+conjugacy classes, C(h.r.h^-1) = h.C(r).h^-1.  Each non-central class is
+found by the oracle's own orbit search under conjugation tables (|G|
+conjugations per generator, 4 list reads each, no product), and the
+centralizer of its representative r is closed at its known order
+|G| / |class(r)| by `groups.close_subgroup`: two products for each element
+tested against r, and none tested once that order is reached.  Equal
+masks share one int.  The masks and the DAG are built once per group, on
+its first oracle call, and the DAG is cached on it; later calls run only
+the dynamic programme.  It uses nothing from the conjugacy
 classes or the branching matrix it checks.  Everything is exact:
 arbitrary-precision integers and fractions, no floating point.
 """
@@ -42,6 +45,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .branching import BranchingMatrix, branching_matrix
 from .errors import (
@@ -52,7 +56,7 @@ from .errors import (
     OutputTooLargeError,
 )
 from .fields import is_prime_power
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, close_subgroup
 
 
 def class_count(group: FiniteGroup, d: int) -> int:
@@ -141,12 +145,12 @@ def oracle_class_counts(group: FiniteGroup, dmax: int, cap: int = ORACLE_CAP) ->
 
     c(d) = |C_{d+1}(G)| / |G| for every d from one pass of
     `_commuting_tuple_totals`.  The group's first oracle call builds its
-    centralizer DAG: commutation masks conjugated along classes,
-    2|G|(|generators| + k(G)) products at most, plus one bitmask AND per
-    (node, member).  Every later call on the group runs only the dynamic
-    programme.  Refuses dmax < 1, then groups above `cap` (default
-    ORACLE_CAP).  The masks take |G|^2/8 bytes; with an explicit `cap`,
-    groups of about 10^4 elements take seconds.
+    centralizer DAG: commutation masks conjugated along classes from one
+    centralizer closure per class (`_commutation_masks`), plus one bitmask
+    AND per (node, member).  Every later call on the group runs only the
+    dynamic programme.  Refuses dmax < 1, then groups above `cap` (default
+    ORACLE_CAP).  Each distinct mask takes |G|/8 bytes; with an explicit
+    `cap`, groups of about 10^4 elements take seconds.
     """
     if dmax < 1:
         raise ValueError("d must be >= 1")
@@ -197,52 +201,47 @@ def _commuting_tuple_totals(group: FiniteGroup, kmax: int, cap: int) -> list[int
 def _commutation_masks(group: FiniteGroup) -> list[int]:
     """comm[g], the bitmask of the elements commuting with g, for every g.
 
-    C(h.r.h^-1) = h.C(r).h^-1, so the group is scanned once per conjugacy
-    class, not once per element.  Conjugation by each generator is
-    tabulated as a permutation of the indices, |G| calls of `conj` per
-    generator and no product (a generator is a one-letter seed: 4 list
-    reads a call).  An element that every such permutation fixes is
-    central: it commutes with everything.  Each other class is the orbit of
-    its first element r under the permutations.  C(r) comes from testing
-    each non-central element against r: one whose class is finished has bit
-    r read from its mask, any other costs two products.  The member list of
-    each other element of the class is its parent's list pushed through the
-    permutation that reached it.  That makes 2|G|k(G) products at most,
-    where testing every pair would make |G|(|G| - 1).  Only `mul`, `conj`
-    and `generators` are used.
+    C(h.r.h^-1) = h.C(r).h^-1, so one centralizer is closed per conjugacy
+    class, not per element.  Conjugation by each generator is tabulated as
+    a permutation of the indices, |G| calls of `conj` per generator and no
+    product (4 list reads a call for a one-letter seed).  An element that
+    every permutation fixes is central.  Each other class is the orbit of
+    its first element r, so |C(r)| = |G| / |class| (orbit-stabilizer), and
+    `close_subgroup` stops there, closing over the centre, r, then the
+    elements found to commute with r (two products a test) by index.  Each
+    other element's member list is its parent's pushed through the
+    permutation that reached it; its mask is built at once, and equal masks
+    share one int.  Only `mul`, `conj` and `generators` are used.
     """
     n, mul, conj = group.order, group.mul, group.conj
     perms = [[conj(s, x) for x in range(n)] for s in group.generators]
-    full, n_bytes = (1 << n) - 1, (n + 7) // 8
+    full = (1 << n) - 1
     comm = [full if all(p[x] == x for p in perms) else None for x in range(n)]
     central = [x for x in range(n) if comm[x]]
     noncentral = [x for x in range(n) if not comm[x]]
-    # a finished non-central mask is held as bytes until the end, so that
-    # its bit r is read in O(1) where the scan at r meets it
+    shared: dict[int, int] = {}
     for r in noncentral:
         if comm[r] is not None:
             continue
-        byte, bit = r >> 3, 1 << (r & 7)
-        found = [
-            x
-            for x in noncentral
-            if (comm[x][byte] & bit if comm[x] is not None else mul(x, r) == mul(r, x))
-        ]
-        members = {r: central + found}
+        tree = {r: None}  # class element -> (permutation, parent) that reached it
         orbit = [r]
         for y in orbit:  # also visits the class elements appended below
-            below = members[y]
             for p in perms:
                 z = p[y]
-                if z not in members:
-                    members[z] = [p[m] for m in below]
+                if z not in tree:
+                    tree[z] = (p, y)
                     orbit.append(z)
-            bits = bytearray(n_bytes)
-            for m in below:
+        commuting = (x for x in noncentral if mul(x, r) == mul(r, x))
+        members = {r: close_subgroup(mul, chain(central, [r], commuting), n // len(orbit))[0]}
+        for z in orbit:
+            if z != r:
+                p, y = tree[z]
+                members[z] = [p[m] for m in members[y]]
+            bits = bytearray((n + 7) // 8)
+            for m in members[z]:
                 bits[m >> 3] |= 1 << (m & 7)
-            comm[y] = bits
-    for x in noncentral:  # one at a time: each bytearray is freed as it goes
-        comm[x] = int.from_bytes(comm[x], "little")
+            mask = int.from_bytes(bits, "little")
+            comm[z] = shared.setdefault(mask, mask)
     return comm
 
 

@@ -42,8 +42,8 @@ Every subgroup carries a generating set, and the scans over a subgroup
 (commutation, conjugation, closure) run over its generators rather than
 its members.  The whole group is generated by the indices of its
 generators; other subgroups by the generators that built them, or
-greedily over their sorted members.  Closures grow coset by coset
-(Dimino's algorithm, `extend_subgroup`).
+greedily over their sorted members.  Every closure is `close_subgroup`:
+Dimino's algorithm, coset by coset, stopped at an order known in advance.
 """
 
 from __future__ import annotations
@@ -213,17 +213,22 @@ class GroupElement:
         return f"GroupElement({self.carrier.describe(self.data)})"
 
 
+def is_int(x) -> bool:
+    """An int but not a bool, which json.loads gives for true and false."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def matrix_element(field: Field, rows) -> GroupElement:
-    """Build an invertible matrix element from rows of field indices."""
+    """Build an invertible matrix element from rows of int field indices."""
     n = len(rows)
     data = []
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix rows must form a square")
         for x in row:
-            if not 0 <= int(x) < field.order:
-                raise ValueError(f"field index {x} out of range for order {field.order}")
-            data.append(int(x))
+            if not is_int(x) or not 0 <= x < field.order:
+                raise ValueError(f"field index {x!r} is not an int in [0, {field.order})")
+            data.append(x)
     carrier = MatrixCarrier(field, n)
     try:
         carrier.inv(data)
@@ -233,9 +238,10 @@ def matrix_element(field: Field, rows) -> GroupElement:
 
 
 def permutation_element(images) -> GroupElement:
-    imgs = tuple(int(x) for x in images)
-    if sorted(imgs) != list(range(len(imgs))):
-        raise ValueError(f"{list(images)} is not a permutation")
+    """Build a permutation element from its int image array."""
+    imgs = tuple(images)
+    if not all(map(is_int, imgs)) or sorted(imgs) != list(range(len(imgs))):
+        raise ValueError(f"{list(imgs)} is not a permutation of ints 0..{len(imgs) - 1}")
     return GroupElement(PermutationCarrier(len(imgs)), imgs)
 
 
@@ -395,30 +401,37 @@ def _shallow_words(n: int, letters: list[list[int]], bound: int):
     return words, None
 
 
-def extend_subgroup(mul, elements: list[int], seen: set[int], gens: list[int], g: int) -> None:
-    """Grow the subgroup H = <gens> to <H, g> in place (Dimino's algorithm).
-
-    `elements` lists H and `seen` holds the same indices; g must lie
-    outside H.  The new group is a union of right cosets H*r.  Each coset
-    representative times each generator either lands in a coset already
-    listed or gives the representative of a new one, whose |H| members are
-    then listed.  Cost: |H| products per new coset, plus one product per
-    (representative, generator) pair.
+def close_subgroup(mul, candidates, order: int) -> tuple[list[int], list[int]]:
+    """(members, generators) of the subgroup that the candidates generate,
+    grown until it holds `order` elements; candidates are drawn lazily and
+    none after that.  A candidate g outside the group H built so far joins
+    the generators, and <H, g> is listed coset by coset (Dimino): each
+    coset representative times each generator lands in a listed coset H*r
+    or represents a new one.  Cost: |H| products per new coset, plus one
+    per (representative, generator) pair.
     """
-    gens.append(g)
-    base = tuple(elements)
-    coset = [mul(h, g) for h in base]
-    elements.extend(coset)
-    seen.update(coset)
-    reps = [g]
-    for r in reps:  # also visits the representatives appended below
-        for s in gens:
-            y = mul(r, s)
-            if y not in seen:
-                coset = [mul(h, y) for h in base]
-                elements.extend(coset)
-                seen.update(coset)
-                reps.append(y)
+    members, seen, gens = [0], {0}, []
+    if order <= 1:
+        return members, gens
+    for g in candidates:
+        if g in seen:
+            continue
+        gens.append(g)
+        base, reps = tuple(members), [g]
+        coset = [mul(h, g) for h in base]
+        members.extend(coset)
+        seen.update(coset)
+        for r in reps:  # also visits the representatives appended below
+            for s in gens:
+                y = mul(r, s)
+                if y not in seen:
+                    coset = [mul(h, y) for h in base]
+                    members.extend(coset)
+                    seen.update(coset)
+                    reps.append(y)
+        if len(members) >= order:
+            break
+    return members, gens
 
 
 class Subgroup:
@@ -468,14 +481,7 @@ class Subgroup:
         """A generating set: the one given at construction, else a greedy
         one over the sorted members (each member not yet spanned joins)."""
         if self._generators is None:
-            elements, seen, gens = [0], {0}, []
-            mul = self.group.mul
-            for m in self.members:
-                if len(elements) >= self.order:
-                    break
-                if m not in seen:
-                    extend_subgroup(mul, elements, seen, gens, m)
-            self._generators = tuple(gens)
+            self._generators = tuple(close_subgroup(self.group.mul, self.members, self.order)[1])
         return self._generators
 
     @cached_property

@@ -36,6 +36,7 @@ from .groups import (
     GroupElement,
     MatrixCarrier,
     group_generate,
+    is_int,
     matrix_element,
     permutation_element,
 )
@@ -65,11 +66,6 @@ def _fail(path: str, message: str):
     raise GroupSpecValidationError(f"{path}: {message}")
 
 
-def _is_int(x) -> bool:
-    """A JSON integer; json.loads gives bool for true/false, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def parse_group_spec(document: str) -> GroupSpec:
     """Parse and validate a spec document, naming the offending field on error."""
     try:
@@ -86,7 +82,7 @@ def parse_group_spec(document: str) -> GroupSpec:
     if kind not in ("matrix", "permutation"):
         _fail("kind", "must be 'matrix' or 'permutation'")
     degree = obj.get("degree")
-    if not _is_int(degree) or degree < 1:
+    if not is_int(degree) or degree < 1:
         _fail("degree", "required integer >= 1")
     gens = obj.get("generators")
     if not isinstance(gens, list) or not gens:
@@ -98,7 +94,7 @@ def parse_group_spec(document: str) -> GroupSpec:
         for gi, gen in enumerate(gens):
             if not isinstance(gen, list) or len(gen) != degree:
                 _fail(f"generators[{gi}]", f"image array of length {degree} required")
-            if not all(_is_int(x) for x in gen) or sorted(gen) != list(range(degree)):
+            if not all(is_int(x) for x in gen) or sorted(gen) != list(range(degree)):
                 _fail(f"generators[{gi}]", "not a permutation of 0..degree-1")
         return GroupSpec(name, kind, None, degree, tuple(tuple(g) for g in gens))
 
@@ -106,9 +102,9 @@ def parse_group_spec(document: str) -> GroupSpec:
     if not isinstance(fobj, dict):
         _fail("field", "required object for matrix specs")
     p, k = fobj.get("p"), fobj.get("k", 1)
-    if not _is_int(p) or p < 2:
+    if not is_int(p) or p < 2:
         _fail("field.p", "required integer >= 2")
-    if not _is_int(k) or k < 1:
+    if not is_int(k) or k < 1:
         _fail("field.k", "required integer >= 1")
     # before is_prime, whose trial division would stall on a huge p; k > 20
     # already gives p^k >= 2^21, and k <= 20 keeps p**k cheap
@@ -118,7 +114,7 @@ def parse_group_spec(document: str) -> GroupSpec:
         _fail("field.p", f"{p} is not prime")
     modulus = fobj.get("modulus")
     if modulus is not None and (
-        not isinstance(modulus, list) or not all(_is_int(c) for c in modulus)
+        not isinstance(modulus, list) or not all(is_int(c) for c in modulus)
     ):
         _fail("field.modulus", "must be an integer array")
     try:
@@ -134,7 +130,7 @@ def parse_group_spec(document: str) -> GroupSpec:
             if not isinstance(row, list) or len(row) != degree:
                 _fail(f"generators[{gi}][{ri}]", f"row of length {degree} required")
             for ci, x in enumerate(row):
-                if not _is_int(x) or not 0 <= x < order:
+                if not is_int(x) or not 0 <= x < order:
                     _fail(
                         f"generators[{gi}][{ri}][{ci}]",
                         f"field index in [0, {order}) required",

@@ -137,6 +137,8 @@ def test_finite_pipeline_reaches_the_spans_the_tracer_times(monkeypatch):
     "workload,key",
     [
         ("finite_table", "q8"),
+        ("finite_table", "gl2_f5"),
+        ("finite_table", "sl2_f7"),
         ("symbolic", "window:gl4:24"),
         ("symbolic", "verify:gl2"),
         ("symbolic", "verify:gl3"),

@@ -221,6 +221,13 @@ def test_commuting_tuple_validation(corpus):
     assert commuting_tuple(g, (r, g.mul(r, r))) == (r, g.mul(r, r))
 
 
+@pytest.mark.parametrize("indices", [[0.0, 1.9], [1.0], [True], [0, False]])
+def test_commuting_tuple_refuses_floats_and_bools(corpus, indices):
+    # int() would truncate [0.0, 1.9] to the commuting tuple (0, 1)
+    with pytest.raises(ValueError, match="not an int"):
+        commuting_tuple(corpus["s4"], indices)
+
+
 # The z-type of a tuple: the type id its centralizer gets in the registry
 
 

@@ -339,6 +339,31 @@ def test_oracle_products_fit_the_class_bound(monkeypatch, make, cap):
     assert 0 < len(calls) <= 2 * group.order * (len(group.generators) + k)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gl2(5), lambda: sl2(7), lambda: group_generate(symmetric_group(7))],
+    ids=["GL2(F5)", "SL2(F7)", "S7"],
+)
+def test_oracle_products_fit_half_the_order_per_class(monkeypatch, make):
+    # each class centralizer C(r) is closed at its known order
+    # |G| / |class(r)|, testing no element after it is reached; bounds
+    # 5,760 / 1,848 / 37,800, where one scan of the group per non-central
+    # class made 9,608 / 3,432 / 69,746
+    group = make()  # fresh: nothing cached on it
+    calls = []
+    mul = FiniteGroup.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counted)
+    rows = oracle_class_counts(group, 4, cap=group.order)
+    monkeypatch.undo()
+    assert rows == class_count_sequence(group, 4)[1:]
+    assert 0 < len(calls) <= group.order * conjugacy_classes(group).count // 2
+
+
 def test_oracle_above_the_old_reach(large_groups):
     s7 = large_groups["s7"]
     assert oracle_class_counts(s7, 3, cap=5040) == class_count_sequence(s7, 3)[1:]

@@ -14,6 +14,7 @@ from commprob.groups import (
     GroupElement,
     Subgroup,
     center,
+    close_subgroup,
     group_generate,
     matrix_element,
     permutation_element,
@@ -26,7 +27,14 @@ from commprob.groupspec import (
     parse_group_spec,
 )
 
-from conftest import gl2, gl2_generators, gl3_generators, symmetric_group
+from conftest import (
+    gl2,
+    gl2_generators,
+    gl3_generators,
+    recording,
+    subgroup_closure,
+    symmetric_group,
+)
 
 
 def gl_order(n, q):
@@ -121,6 +129,22 @@ def test_bad_permutation_rejected():
         permutation_element([0, 0, 1])
 
 
+@pytest.mark.parametrize("images", [[1.9, 0.2], [1.0, 0], [True, False], [1, False]])
+def test_permutation_element_refuses_floats_and_bools(images):
+    # int() would truncate [1.9, 0.2] to the permutation (1, 0)
+    with pytest.raises(ValueError, match="not a permutation of ints"):
+        permutation_element(images)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1.5, 0], [0, 2.7]], [[1.0, 0], [0, 2]], [[True, 0], [0, True]]]
+)
+def test_matrix_element_refuses_floats_and_bools(rows):
+    # int() would truncate [[1.5, 0], [0, 2.7]] to diag(1, 2) over F3
+    with pytest.raises(ValueError, match="not an int in"):
+        matrix_element(field_create(3, 1), rows)
+
+
 def test_center_examples(corpus):
     assert center(corpus["s3"]).order == 1
     assert center(corpus["q8"]).order == 2
@@ -194,6 +218,26 @@ def test_canonical_equality_and_hash():
     assert x == y and hash(x) == hash(y)
     assert x.encode() == y.encode()
     assert x != z and x.encode() != z.encode()
+
+
+def test_close_subgroup_draws_no_candidate_past_the_order(corpus):
+    rng = random.Random(11)
+    for name, group in corpus.items():
+        targets = [range(group.order), [0]]
+        targets += [subgroup_closure(group, rng.sample(range(group.order), 2)) for _ in range(4)]
+        for target in targets:
+            # the members of the target, then elements that would grow it
+            candidates = list(target)
+            rng.shuffle(candidates)
+            candidates += [x for x in range(group.order) if x not in target]
+            tried = []
+            members, gens = close_subgroup(group.mul, recording(candidates, tried), len(target))
+            assert sorted(members) == sorted(target), name
+            assert frozenset(members) == subgroup_closure(group, tried), name
+            # each generator is a drawn candidate, and the last one drawn
+            # completed the subgroup, so none was drawn after its order
+            assert [g for g in tried if g in gens] == gens, name
+            assert tried[-1:] == gens[-1:], name
 
 
 def test_subgroup_validation(corpus):
