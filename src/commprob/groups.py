@@ -355,50 +355,62 @@ def _product_words(n: int, actions: list[list[int]]):
     element at that depth, composed from its word in n lookups per letter,
     joins the letters with its inverse, so the letters stay closed under
     inverses like the seeds, and the search restarts.  Each restart puts an
-    element that needed a longer word within reach, so the loop ends.  An
-    inverse is 0 pushed through the reversed word under the letters'
-    inverse permutations.
+    element that needed a longer word within reach, so the loop ends.
+
+    The inverses come from the search tree, each element x reached as
+    A * p from its parent p by its last letter A.  Right multiplication by
+    a letter's inverse a^-1 is tabulated in the search order: R[0] is the
+    index of a^-1 (the y with A[y] = 0) and R[x] = A_x[R[p]], as
+    x * a^-1 = A_x * (p * a^-1).  Then x^-1 = p^-1 * A_x^-1 is the table
+    of A_x read at p^-1, one lookup per element and letter in all.
     """
     letters = list(actions)
     bound = max(8, 2 * n.bit_length())
     while True:
-        words, deep = _shallow_words(n, letters, bound)
-        if words is not None:
+        words, tree, deep = _shallow_words(n, letters, bound)
+        if deep is None:
             break
         action = range(n)
         for act in deep:
             action = list(map(act.__getitem__, action))
         letters += (action, _inverse_permutation(action))
-    inverses = {id(act): _inverse_permutation(act) for act in letters}
-    inv_table = []
-    for word in words:
-        x = 0
-        for act in reversed(word):
-            x = inverses[id(act)][x]
-        inv_table.append(x)
+    times_inverse = {}
+    for act in letters:
+        table = [0] * n
+        table[0] = act.index(0)
+        for x, p, last in tree:
+            table[x] = last[table[p]]
+        times_inverse[id(act)] = table
+    inv_table = [0] * n
+    for x, p, last in tree:
+        inv_table[x] = times_inverse[id(last)][inv_table[p]]
     return words, inv_table
 
 
 def _shallow_words(n: int, letters: list[list[int]], bound: int):
     """Breadth-first words from the identity over the letters.
 
-    Returns (words, None) when every element is reached within `bound`
-    letters, else (None, word) for the first element of depth `bound`
-    that reaches an element not yet seen.
+    Returns (words, tree, None) when every element is reached within
+    `bound` letters, tree listing (x, p, A) in the search order for each
+    element x but the identity, first reached as A[p].  Else returns
+    (None, None, word) for the first element of depth `bound` that reaches
+    an element not yet seen.
     """
     words: list = [None] * n
     words[0] = ()
     queue = [0]
+    tree = []
     for p in queue:  # also visits the elements appended below
         word = words[p]
         for act in letters:
             i = act[p]
             if words[i] is None:
                 if len(word) == bound:
-                    return None, word
+                    return None, None, word
                 words[i] = word + (act,)
                 queue.append(i)
-    return words, None
+                tree.append((i, p, act))
+    return words, tree, None
 
 
 def close_subgroup(mul, candidates, order: int) -> tuple[list[int], list[int]]:

@@ -27,13 +27,21 @@ of their random suites, the max-plus and exact walks from every start
 column with exact powers, and the envelope with the walk for every
 d >= beta.
 
-All values here are immutable and operations pure.
+`diagonal_degree_interval` reads deg (B^r)[l][0] in a symbolised diagonal
+entry as r minus the fewest steps from row 0 to row l.  It checks the
+matrix and searches it once per distinct matrix, so one validation and
+one search serve every (l, r) query on a matrix, each repeat costing an
+O(m^2) key.
+
+All values here are immutable and operations pure, apart from the
+one-matrix cache behind `diagonal_degree_interval`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 from itertools import chain
 
@@ -562,6 +570,14 @@ def diagonal_degree_interval(entries, l: int, r: int) -> DegreeInterval:
     the entry is zero (degree None) while r < delta.  A pre-diagonal entry
     in row i gives delta(i) <= delta(j) + 1 for some j < i, so
     delta <= l < m and the degree lands in [r - m, r].
+
+    Every entry must be an int.  The matrix is checked, and delta found
+    for every row by one breadth-first search, once per distinct matrix
+    (`_distances_from_first` keeps the last one): the calls for every
+    (l, r) of one matrix cost one validation and one search, then an
+    O(m^2) key each.  A matrix equal to the previous call's is answered
+    from that key, so an entry that equals an int without being one
+    (1.0) is refused only in a matrix not equal to the previous call's.
     """
     m = len(entries)
     if not (isinstance(l, int) and isinstance(r, int)):
@@ -570,16 +586,14 @@ def diagonal_degree_interval(entries, l: int, r: int) -> DegreeInterval:
         raise PreconditionError("power r must be >= 2")
     if not 0 <= l < m:
         raise PreconditionError(f"row {l} outside matrix of size {m}")
-    for i, row in enumerate(entries):
-        if len(row) != m:
-            raise PreconditionError("matrix must be square")
-        if min(row) < 0:
-            raise PreconditionError("entries must be non-negative")
-        if row[i] == 0:
-            raise PreconditionError(f"diagonal entry ({i},{i}) is zero")
-        if i > 0 and not any(row[:i]):
-            raise PreconditionError(f"row {i} has no entry before the diagonal")
-    delta = _steps_from_first(entries, l)
+    # built from a list, so the key tuple is made at its final size; a
+    # tuple grown from an iterator is resized, and each call would leave
+    # one more tuple on CPython's free list for the smaller size
+    rows = tuple([tuple(row) for row in entries])
+    try:
+        delta = _distances_from_first(rows)[l]
+    except TypeError:  # an unhashable entry, which the uncached checks name
+        delta = _distances_from_first.__wrapped__(rows)[l]
     if delta is None or r < delta:
         if r > m:
             raise WindowViolatedError(
@@ -594,20 +608,37 @@ def diagonal_degree_interval(entries, l: int, r: int) -> DegreeInterval:
     return DegreeInterval(degree, r - m, r)
 
 
-def _steps_from_first(entries, target: int) -> int | None:
-    """Fewest steps from 0 to target, a step from k to i wherever
-    entries[i][k] is nonzero; None if target is not reached."""
-    distance = {0: 0}
+@lru_cache(maxsize=1)
+def _distances_from_first(rows) -> tuple[int | None, ...]:
+    """The fewest steps from row 0 to each row (None where none leads),
+    a step from k to i wherever rows[i][k] is nonzero, after checking
+    `diagonal_degree_interval`'s preconditions on the matrix.
+
+    Only the previous matrix is kept, so no answer outlives a change of
+    matrix; a refused matrix is checked, and refused, again on every call.
+    """
+    m = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != m:
+            raise PreconditionError("matrix must be square")
+        for j, x in enumerate(row):
+            if not isinstance(x, int):
+                raise PreconditionError(f"entry ({i},{j}) must be an int, got {x!r}")
+        if min(row) < 0:
+            raise PreconditionError("entries must be non-negative")
+        if row[i] == 0:
+            raise PreconditionError(f"diagonal entry ({i},{i}) is zero")
+        if i > 0 and not any(row[:i]):
+            raise PreconditionError(f"row {i} has no entry before the diagonal")
+    distance = [None] * m
+    distance[0] = 0
     frontier = [0]
-    while frontier and target not in distance:
-        step = distance[frontier[0]] + 1
-        reached = []
-        for i, row in enumerate(entries):
-            if i not in distance and any(row[k] for k in frontier):
-                distance[i] = step
-                reached.append(i)
-        frontier = reached
-    return distance.get(target)
+    for k in frontier:  # also visits the rows appended below: breadth-first
+        for i in range(m):
+            if distance[i] is None and rows[i][k]:
+                distance[i] = distance[k] + 1
+                frontier.append(i)
+    return tuple(distance)
 
 
 def shape_checks(grid, zero, depths, abelian) -> list[CheckResult]:

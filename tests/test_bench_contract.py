@@ -140,6 +140,7 @@ def test_finite_pipeline_reaches_the_spans_the_tracer_times(monkeypatch):
         ("finite_table", "gl2_f5"),
         ("finite_table", "sl2_f7"),
         ("symbolic", "window:gl4:24"),
+        ("symbolic", "diagonal:5d0ed4e9eeffc288"),
         ("symbolic", "verify:gl2"),
         ("symbolic", "verify:gl3"),
         ("symbolic", "verify:gl4"),
@@ -149,7 +150,9 @@ def test_finite_pipeline_reaches_the_spans_the_tracer_times(monkeypatch):
 def test_benchmark_jobs_answer_as_the_reference_says(monkeypatch, workload, key):
     # the jobs reach the library through names (build_group, the GroupSpec
     # fields, report attributes) that a rename would break only when the
-    # benchmark runs; seed 3 conjugates the finite job's generators
+    # benchmark runs; seed 3 conjugates the finite job's generators, and
+    # its first diagonal job checks every (l, r) of one matrix against
+    # workloads.diagonal_reference, a max-plus walk count
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     workloads = importlib.import_module("workloads")
     (job,) = [job for job in workloads.make_jobs(workload, 3) if job.key == key]

@@ -585,6 +585,45 @@ def test_diagonal_degree_interval_refuses_non_int_row_or_power():
             diagonal_degree_interval(entries, l, r)
 
 
+def test_diagonal_degree_interval_refuses_non_int_entries():
+    symbolic._distances_from_first.cache_clear()  # 1.0 == 1 would hit a cached int matrix
+    for entries in ([[1, 0], [0.5, 1]], [[1, 0], [1, 1.0]], [[1, 0], [[1], 1]]):
+        with pytest.raises(PreconditionError, match=r"entry \(1,[01]\) must be an int"):
+            diagonal_degree_interval(entries, 1, 3)
+
+
+def test_diagonal_degree_interval_sees_a_matrix_mutated_in_place():
+    entries = [[1, 0, 0], [1, 1, 0], [0, 1, 1]]
+    assert diagonal_degree_interval(entries, 2, 5).degree == 3  # 0 -> 1 -> 2
+    entries[2][0] = 1
+    assert diagonal_degree_interval(entries, 2, 5).degree == 4  # 0 -> 2
+
+
+def test_diagonal_degree_interval_alternating_matrices_keep_their_answers():
+    chain_3 = [[1, 0, 0], [1, 1, 0], [0, 1, 1]]
+    star_3 = [[1, 0, 0], [1, 1, 0], [1, 0, 1]]
+    for _ in range(3):
+        assert diagonal_degree_interval(chain_3, 2, 4).degree == 2
+        assert diagonal_degree_interval(star_3, 2, 4).degree == 3
+
+
+def test_diagonal_degree_interval_refuses_an_invalid_matrix_on_every_call():
+    entries = [[1, 0], [0, 1]]
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="row 1 has no entry before the diagonal"):
+            diagonal_degree_interval(entries, 1, 3)
+
+
+def test_diagonal_degree_interval_validates_and_searches_once_per_matrix():
+    entries = random_condition_matrix(random.Random(7), 6)
+    symbolic._distances_from_first.cache_clear()
+    calls = [(l, r) for l in range(6) for r in range(2, 11)]
+    for l, r in calls:
+        diagonal_degree_interval(entries, l, r)
+    info = symbolic._distances_from_first.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+
 def random_condition_matrix(rng, m, max_entry=3):
     entries = [[0] * m for _ in range(m)]
     for i in range(m):
