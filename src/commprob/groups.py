@@ -11,16 +11,20 @@ subgroup's generators, class partition, fingerprint and abelian flag) is
 filled in lazily.
 
 Generator closure runs over closure keys: each carrier maps an element's
-data to its key (`to_key`) and back (`from_key`), and gives each seed s (a
-generator or the inverse of one) its left action x -> s * x on keys
-(`left_action`).  A group keeps the keys; data is made from a key only
-where an element leaves the group (`FiniteGroup.element`).  A permutation
-is its own key, and its seeds multiply through the carrier.  A matrix is
-keyed by its column codes, and column j of s * x is s times column j of x,
-so a matrix seed acts through a memo from a column's code to the code of
-its image, filled as the search first meets each column: a product is n
-lookups, and field operations are made only on a memo miss and to invert
-the generators.
+data to its key (`to_key`) and back (`from_key`), and gives the seeds (the
+generators and their inverses) their left actions x -> s * x on keys
+(`left_actions`).  A group keeps the keys; data is made from a key only
+where an element leaves the group (`FiniteGroup.element`).  A key is a
+word over letters: a permutation's images, or a matrix's column codes
+(column j as the integer sum(a[i][j] * q**i)).  When every letter fits in
+a byte (at most 256 points, or q**n <= 256), the key is `bytes` and a seed
+acts by one `bytes.translate` through a 256-byte table: a permutation's
+table is its image array, and a matrix's sends each column code met by the
+closure to the code of s times that column.  Above 256 letters the key is
+a tuple; a permutation seed multiplies through the carrier, and a matrix
+seed maps each column through a memo of its column images filled as the
+search first meets each column.  Field operations are made only for the
+column images and to invert the generators.
 
 The closure records, for each seed s, its left action on the element
 indices: act_s[x] = index(s * e_x).  The group replays every product from
@@ -52,12 +56,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
+from operator import methodcaller
 
 from .errors import CapExceededError, ElementNotInGroupError, MixedCarriersError, PreconditionError
 from .fields import Field
 
 class MatrixCarrier:
-    """n-by-n invertible matrices over a finite field."""
+    """n-by-n invertible matrices over a finite field; closure keys are
+    column codes, as bytes when there are at most 256 (q**n <= 256)."""
 
     def __init__(self, field: Field, n: int):
         self.field = field
@@ -105,23 +111,46 @@ class MatrixCarrier:
                     aug[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(aug[r], aug[col])]
         return tuple(aug[i][n + j] for i in range(n) for j in range(n))
 
-    def to_key(self, a) -> tuple[int, ...]:
-        """Closure key: column j of `a` as the integer sum(a[i][j] * q**i), for each j."""
+    def to_key(self, a) -> bytes | tuple[int, ...]:
+        """Closure key: column j of `a` as the integer sum(a[i][j] * q**i),
+        for each j; as bytes when every code fits in one (q**n <= 256).
+        Raises ValueError for data whose codes no byte holds."""
         n, q = self.n, self.field.order
-        return tuple(sum(a[i * n + j] * q**i for i in range(n)) for j in range(n))
+        codes = (sum(a[i * n + j] * q**i for i in range(n)) for j in range(n))
+        return bytes(codes) if q**n <= BYTE_LETTERS else tuple(codes)
 
     def from_key(self, codes) -> tuple[int, ...]:
         """The row-major data of the matrix with these column codes."""
         n, q = self.n, self.field.order
         return tuple(chain.from_iterable(zip(*(_digits(code, q, n) for code in codes))))
 
-    def left_action(self, s):
-        """x -> s * x on column codes.  Column j of s * x is s times column
-        j of x, so a product is one lookup per column in a memo of s's
-        column images.  The memo is filled as columns are first met, and a
-        miss costs n * n field operations."""
-        image = _ColumnImages(self, s).__getitem__
-        return lambda x: tuple(map(image, x))
+    def left_actions(self, seeds) -> list:
+        """x -> s * x on column codes, for each seed s.  Column j of s * x
+        is s times column j of x, so a product maps each column through a
+        memo of s's column images, and a memo miss costs n * n field
+        operations.
+
+        On byte keys the memos are filled first, over the orbit of the
+        basis columns under the seeds: those are the columns of the
+        group's elements, so the closure meets no other, and the misses
+        are the ones the lazy memos would make.  Each memo then becomes a
+        256-byte table (identity off the orbit), and a product is one
+        `bytes.translate`.  Above 256 codes the memos fill lazily and a
+        product is one lookup per column.
+        """
+        memos = [_ColumnImages(self, s) for s in seeds]
+        q = self.field.order
+        if q**self.n > BYTE_LETTERS:
+            return [lambda x, image=memo.__getitem__: tuple(map(image, x)) for memo in memos]
+        orbit = [q**i for i in range(self.n)]
+        seen = set(orbit)
+        for code in orbit:  # also visits the codes appended below
+            for memo in memos:
+                image = memo[code]
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        return [_translation(memo.items()) for memo in memos]
 
     def describe(self, a) -> str:
         n = self.n
@@ -161,8 +190,21 @@ class _ColumnImages(dict):
         return image
 
 
+BYTE_LETTERS = 256  # closure keys are bytes when every letter is below this
+
+
+def _translation(pairs):
+    """x -> x.translate(table) for the 256-byte table sending each letter a
+    to b for the (a, b) pairs, and every other letter to itself."""
+    table = bytearray(range(BYTE_LETTERS))
+    for a, b in pairs:
+        table[a] = b
+    return methodcaller("translate", bytes(table))
+
+
 class PermutationCarrier:
-    """Permutations of {0 .. m-1} stored as image arrays."""
+    """Permutations of {0 .. m-1} stored as image arrays; closure keys are
+    the image arrays, as bytes on at most 256 points."""
 
     def __init__(self, domain: int):
         self.domain = domain
@@ -184,16 +226,21 @@ class PermutationCarrier:
     def inv(self, a):
         return tuple(_inverse_permutation(a))
 
-    def to_key(self, a):
-        """A permutation is its own closure key."""
-        return a
+    def to_key(self, a) -> bytes | tuple[int, ...]:
+        """Closure key: the image array, as bytes on at most 256 points.
+        Raises ValueError for data that no byte holds."""
+        return bytes(a) if self.domain <= BYTE_LETTERS else a
 
-    def from_key(self, key):
-        return key
+    def from_key(self, key) -> tuple[int, ...]:
+        return tuple(key)
 
-    def left_action(self, s):
-        """x -> s * x, one carrier product."""
-        return partial(self.mul, s)
+    def left_actions(self, seeds) -> list:
+        """x -> s * x, for each seed s: (s * x)(i) = s(x(i)), so on byte
+        keys s acts by translating x through its image array, and above 256
+        points by one carrier product."""
+        if self.domain > BYTE_LETTERS:
+            return [partial(self.mul, s) for s in seeds]
+        return [_translation(enumerate(s)) for s in seeds]
 
     def describe(self, a) -> str:
         return ",".join(str(x) for x in a)
@@ -261,8 +308,8 @@ class FiniteGroup:
     def __init__(
         self,
         carrier,
-        elements: list[tuple[int, ...]],
-        index: dict[tuple[int, ...], int],
+        elements: list[bytes | tuple[int, ...]],
+        index: dict[bytes | tuple[int, ...], int],
         actions: list[list[int]],
         generators: tuple[int, ...],
         name: str = "",
@@ -323,7 +370,11 @@ class FiniteGroup:
 
     def element_index(self, el: GroupElement) -> int:
         if el.carrier == self.carrier and len(el.data) == len(self.carrier.identity()):
-            i = self.index.get(self.carrier.to_key(el.data))
+            try:
+                key = self.carrier.to_key(el.data)
+            except (TypeError, ValueError):  # malformed data that no byte key holds
+                key = None
+            i = self.index.get(key)
             if i is not None and self.element(i) == el:  # keys of malformed data may collide
                 return i
         raise ElementNotInGroupError(f"{el!r} not in {self!r}")
@@ -544,8 +595,9 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
     `FiniteGroup` builds its product words.
 
     The search runs over the carrier's closure keys, each seed acting
-    through `left_action`.  The keys become `FiniteGroup.elements` and key
-    its index, with no conversion back to data.
+    through its entry of `left_actions`.  The keys become
+    `FiniteGroup.elements` and key its index, with no conversion back to
+    data.
 
     The generators' indices, in the given order without repeats or the
     identity, become `FiniteGroup.generators`; no closure is needed to find
@@ -567,7 +619,7 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
             seeds.append(inv)
 
     start = carrier.to_key(carrier.identity())
-    steps = [carrier.left_action(s) for s in seeds]
+    steps = carrier.left_actions(seeds)
     elements = [start]
     index = {start: 0}
     actions = [[] for _ in seeds]
@@ -581,7 +633,7 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
                 if i >= cap:
                     raise CapExceededError(f"closure exceeded cap of {cap} elements")
             act.append(i)
-    del steps  # free the column memos before the group builds its words
+    del steps  # free the column memos or tables before the group builds its words
     # act_s[0] = index(s), and distinct generator data have distinct indices
     generators = tuple(i for i in (act[0] for act in actions[:distinct]) if i != 0)
     return FiniteGroup(carrier, elements, index, actions, generators, name=name)

@@ -139,6 +139,8 @@ def test_finite_pipeline_reaches_the_spans_the_tracer_times(monkeypatch):
         ("finite_table", "q8"),
         ("finite_table", "gl2_f5"),
         ("finite_table", "sl2_f7"),
+        ("finite_carrier", "s7"),
+        ("finite_carrier", "s5xs4"),
         ("symbolic", "window:gl4:24"),
         ("symbolic", "diagonal:5d0ed4e9eeffc288"),
         ("symbolic", "verify:gl2"),

@@ -47,7 +47,7 @@ def gl_order(n, q):
 def test_s3_from_transposition_and_cycle():
     g = group_generate([permutation_element([1, 0, 2]), permutation_element([1, 2, 0])])
     assert g.order == 6
-    assert g.elements[0] == (0, 1, 2)  # identity first
+    assert g.element(0).data == (0, 1, 2)  # identity first
 
 
 @pytest.mark.parametrize(
@@ -299,15 +299,23 @@ def test_element_index_rejects_elements_outside_the_group(corpus):
         permutation_element([1, 0, 2]),  # another carrier
         matrix_element(field_create(5, 1), [[1, 1], [0, 1]]),  # another field
         matrix_element(f3, [[2, 0], [0, 1]]),  # same carrier, not in the group
-        # malformed data: the identity's column codes, and too short
+        # malformed data: the identity's column codes, too short, and
+        # column codes outside [0, 9) that no byte key holds
         GroupElement(unipotent.carrier, (1, 3, 0, 0)),
         GroupElement(unipotent.carrier, (1, 0)),
+        GroupElement(unipotent.carrier, (1, 0, 0, 300)),
+        GroupElement(unipotent.carrier, (1, 0, -1, 1)),
     ]
     for el in outside:
         with pytest.raises(ElementNotInGroupError):
             unipotent.element_index(el)
+    s3 = corpus["s3"]
+    # too short, and image arrays that no byte key holds
+    for data in ((0, 1), (0, 1, 300), (0, 1, -1)):
+        with pytest.raises(ElementNotInGroupError):
+            s3.element_index(GroupElement(s3.carrier, data))
     with pytest.raises(ElementNotInGroupError):
-        corpus["s3"].element_index(unipotent.element(1))
+        s3.element_index(unipotent.element(1))  # another carrier
 
 
 def test_closure_keeps_keys_and_converts_only_at_the_boundary(monkeypatch):
@@ -451,6 +459,19 @@ def test_table_build_makes_no_carrier_products(monkeypatch):
     assert calls == []
 
 
+def gl2_f16_upper_triangular(diagonal):
+    """Generators of the unipotent subgroup of GL2(F16), the transvections
+    [[1, a], [0, 1]] for a over a basis of F16 over F2, or of the Borel
+    subgroup: [[1, 1], [0, 1]], diag(x, 1) and diag(1, x), x generating
+    F16* under the primitive modulus x^4 + x + 1."""
+    f16 = field_create(2, 4, (1, 1, 0, 0, 1))
+    x = 2
+    if not diagonal:
+        return [matrix_element(f16, [[1, a], [0, 1]]) for a in (1, 2, 4, 8)]
+    rows = ([[1, 1], [0, 1]], [[x, 0], [0, 1]], [[1, 0], [0, x]])
+    return [matrix_element(f16, r) for r in rows]
+
+
 def reference_closure(gens):
     """The closure by carrier products: breadth-first from the identity,
     left-multiplying by the generators and then their inverses.  Returns
@@ -482,6 +503,13 @@ CLOSURE_CASES = {
     "gl3_f3": lambda: gl3_generators(3),
     "gl1_f10007": lambda: [matrix_element(field_create(10007, 1), [[5]])],
     "s7": lambda: symmetric_group(7),
+    # S3 on the first 3 of 256 points (byte keys) and of 257 (tuple keys)
+    "s3_on_256": lambda: symmetric_group(3, degree=256),
+    "s3_on_257": lambda: symmetric_group(3, degree=257),
+    # q**n = 256 column codes, the largest alphabet of byte keys; only the
+    # orbit of the basis columns is met
+    "unipotent_gl2_f16": lambda: gl2_f16_upper_triangular(diagonal=False),
+    "borel_gl2_f16": lambda: gl2_f16_upper_triangular(diagonal=True),
 }
 
 
@@ -495,6 +523,20 @@ def test_closure_matches_the_carrier_product_closure(name):
     assert {x: group.element_index(GroupElement(group.carrier, x)) for x in index} == index
     assert group._actions == actions
     assert group.generators == generators
+
+
+def test_closure_keys_do_not_change_the_recorded_actions():
+    # byte keys on 256 points and tuple keys on 257 give the same search
+    s3 = group_generate(symmetric_group(3))
+    for degree, key_type in ((256, bytes), (257, tuple)):
+        padded = group_generate(symmetric_group(3, degree=degree))
+        assert type(padded.elements[0]) is key_type
+        assert padded._actions == s3._actions
+        assert padded.generators == s3.generators
+    unipotent = group_generate(gl2_f16_upper_triangular(diagonal=False))
+    borel = group_generate(gl2_f16_upper_triangular(diagonal=True))
+    assert (unipotent.order, borel.order) == (16, 15 * 15 * 16)
+    assert type(borel.elements[0]) is bytes
 
 
 def test_matrix_closure_cap_is_exact():
