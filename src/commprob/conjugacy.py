@@ -19,10 +19,18 @@ Handbook of Computational Group Theory, section 4.1):
   with u_y x u_y^-1 = y.  Every search edge y -> z = s y s^-1 that is not
   a tree edge gives a Schreier generator u_z^-1 s u_y, which fixes x;
   together they generate the stabilizer (Schreier's lemma).
+- The centre test places classes in z-classes with no transporter search.
+  For x and y in H, C_H(x) and C_H(y) are H-conjugate exactly when
+  |class(x)| = |class(y)| and class(y) meets Z(C_H(x)).  If
+  C_H(y) = g C_H(x) g^-1, then g^-1 y g lies in Z(C_H(x)).  Conversely, a
+  y' of class(y) in Z(C_H(x)) has C_H(x) inside C_H(y'), and the two
+  orders agree by orbit-stabilizer.
 - A transporter candidate g maps A onto B when |A| = |B| and g a g^-1 lies
   in B for each generator a of A, since g A g^-1 is then a subgroup of B
-  of the same order.  Candidates are tried in the same order as always,
-  so the first witness is the same as when every member of A is tested.
+  of the same order.  The type registry of `branching` searches the whole
+  group this way, after the order and fingerprint test.  Candidates are
+  tried in the same order as always, so the first witness is the same as
+  when every member of A is tested.
 
 Every conjugation goes through `FiniteGroup.conj`, which costs
 2 * |word(s)| + 2 list reads for a conjugator s and no product.  A
@@ -40,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotCommutingError
-from .groups import FiniteGroup, Subgroup, close_subgroup, is_int, subgroup_or_whole
+from .groups import FiniteGroup, Subgroup, center, close_subgroup, is_int, subgroup_or_whole
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,9 @@ class ClassPartition:
 @dataclass(frozen=True)
 class ZClass:
     """Conjugacy classes sharing a conjugate centralizer; `representative`
-    is the representative of the first of them, whose centralizer is kept."""
+    is the representative of the first of them, whose centralizer is kept.
+    The other classes join by the centre test, so no centralizer is made
+    for them."""
 
     class_ids: tuple[int, ...]
     centralizer: Subgroup
@@ -188,25 +198,44 @@ def subgroup_conjugate(
 def z_classes(group: FiniteGroup, subgroup: Subgroup | None = None) -> list[ZClass]:
     """z-classes of a subgroup, with centralizers and conjugacy taken inside it.
 
-    The returned list starts with the z-class of the central elements (the
-    one whose centralizer is the subgroup itself) and continues in order of
-    minimal class representative, so the output is deterministic.
+    Classes are placed in partition order.  A class joins the first z-class
+    whose centralizer C has |C| * |class| = |H| and whose centre meets the
+    class (the centre test of the module docstring); otherwise it opens a
+    new z-class, and only then is its centralizer computed.  A z-class's
+    centre is computed once, when a class of matching size first asks, and
+    kept as the ids of the classes it meets.  The identity's class opens the
+    first z-class, whose centralizer is H; a later class of size 1 lies in
+    Z(H) and joins it with no centre computed.  The returned list starts with
+    the z-class of the central elements (the one whose centralizer is the
+    subgroup itself) and continues in order of minimal class
+    representative, so the output is deterministic.
     """
     h = subgroup_or_whole(group, subgroup)
     partition = conjugacy_classes(group, within=h)
     grouped: list[list[int]] = []
     cents: list[Subgroup] = []
+    centres: list[set[int] | None] = []  # class ids meeting Z(cent), made on first use
+    # class size -> the z-classes its classes opened, in order; |cent| is
+    # |H| over the opening class's size, so these are the z-classes whose
+    # centralizer order times that size is |H|
+    opened: dict[int, list[int]] = {}
     for cid, cls in enumerate(partition.classes):
-        cent = centralizer(group, (cls.representative,), within=h)
-        placed = False
-        for gid, existing in enumerate(cents):
-            if subgroup_conjugate(group, existing, cent, transporter=h.members) is not None:
+        size = len(cls.members)
+        if cid and size == 1:  # a central class: it lies in Z(H)
+            grouped[0].append(cid)
+            continue
+        for gid in opened.get(size, ()):
+            if centres[gid] is None:
+                class_of = partition.class_of
+                centres[gid] = {class_of[z] for z in center(group, within=cents[gid]).members}
+            if cid in centres[gid]:
                 grouped[gid].append(cid)
-                placed = True
                 break
-        if not placed:
+        else:
+            opened.setdefault(size, []).append(len(grouped))
             grouped.append([cid])
-            cents.append(cent)
+            cents.append(centralizer(group, (cls.representative,), within=h))
+            centres.append(None)
     # class 0 is the identity's class, so grouped[0] is the central z-class
     return [
         ZClass(tuple(ids), cent, partition.classes[ids[0]].representative)

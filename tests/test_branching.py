@@ -1,12 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
 from commprob import branching, conjugacy
 from commprob.branching import BranchingMatrix, branching_matrix, verify_structure
 from commprob.conjugacy import conjugacy_classes
-from commprob.counting import class_count_sequence
+from commprob.counting import class_count, class_count_sequence
 from commprob.groups import center, group_generate, permutation_element, subgroup_or_whole
 from commprob.symbolic import exact_walk, fixture, verify_symbolic_structure
 
+from conftest import gl2_generators
 from test_groups import conjugated_gl2_f3
 
 
@@ -244,3 +247,49 @@ def test_verify_reads_the_partitions_branching_made(corpus, large_groups, monkey
         assert partitioned == [], name
         for h in cents:
             assert conjugacy_classes(group, within=h) is conjugacy_classes(group, within=h)
+
+
+def test_gl2_f16_matrix_is_the_generic_gl2_matrix():
+    # 61,200 elements, far above the oracle cap: the generic GL2(F_q)
+    # matrix at q = 16, with rows and columns G, Z.U, the split torus and
+    # the non-split torus, told apart by their centre orders
+    q = 16
+    g = group_generate(gl2_generators(2, [1, 1, 0, 0, 1]), cap=70000)
+    assert g.order == q * (q - 1) * (q * q - 1)
+    matrix, registry = branching_matrix(g)
+    diagonal = [matrix.entries[i][i] for i in range(matrix.size)]
+    order = [diagonal.index(z) for z in (q - 1, q * (q - 1), (q - 1) ** 2, q * q - 1)]
+    assert sorted(order) == list(range(matrix.size))
+    expected = [
+        [q - 1, 0, 0, 0],
+        [q - 1, q * (q - 1), 0, 0],
+        [(q - 1) * (q - 2) // 2, 0, (q - 1) ** 2, 0],
+        [q * (q - 1) // 2, 0, 0, q * q - 1],
+    ]
+    assert [[matrix.entries[a][b] for b in order] for a in order] == expected
+    assert verify_structure(matrix, registry).ok
+    for d in (1, 2, 3, 10, 50):
+        c = (
+            Fraction((q * q - 1) ** d, 2)
+            + Fraction((q * (q - 1)) ** d, q - 1)
+            + Fraction((q - 1) ** (2 * d), 2)
+            - (q - 1) ** (d - 1)
+        )
+        assert class_count(g, d) == c, d
+
+
+def test_diagonal_check_filters_a_fresh_centre_per_type(corpus, monkeypatch):
+    # z_classes finds centres too; the diagonal check must not reuse them,
+    # so each report filters every type's centre again
+    group = corpus["gl2_f3"]
+    matrix, registry = branching_matrix(group)
+    made = []
+
+    def counted(group, within=None):
+        made.append(within)
+        return center(group, within=within)
+
+    monkeypatch.setattr(branching, "center", counted)
+    for _ in range(2):
+        assert verify_structure(matrix, registry).ok
+    assert made == [entry.centralizer for entry in registry.types] * 2

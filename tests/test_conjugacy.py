@@ -24,7 +24,7 @@ from commprob.groups import (
 )
 from commprob.groupspec import corpus_group, corpus_spec
 
-from conftest import recording, subgroup_closure, symmetric_group
+from conftest import gl2, recording, sl2, subgroup_closure, symmetric_group
 
 
 def element_of_order(group, n):
@@ -356,6 +356,67 @@ def test_subgroup_conjugate_matches_all_members_scan(corpus, name):
                 expected = reference_transporter(group, a, b, candidates)
                 got = subgroup_conjugate(group, a, b, transporter=candidates)
                 assert got == expected
+
+
+def reference_z_grouping(group, h):
+    """z-classes as (class ids, centralizer, representative): one centralizer
+    per class, each placed with the first earlier z-class whose centralizer
+    an element of H conjugates onto it."""
+    grouped, cents = [], []
+    classes = conjugacy_classes(group, within=h).classes
+    for cid, cls in enumerate(classes):
+        cent = centralizer(group, (cls.representative,), within=h)
+        for ids, existing in zip(grouped, cents):
+            if subgroup_conjugate(group, existing, cent, transporter=h.members) is not None:
+                ids.append(cid)
+                break
+        else:
+            grouped.append([cid])
+            cents.append(cent)
+    return [(tuple(ids), c, classes[ids[0]].representative) for ids, c in zip(grouped, cents)]
+
+
+@pytest.fixture(scope="module")
+def type_centralizers(corpus):
+    """(group, H) for every registered type of the corpus groups, S5,
+    GL2(F5) and SL2(F7)."""
+    groups = list(corpus.values()) + [group_generate(symmetric_group(5)), gl2(5), sl2(7)]
+    return [
+        (group, entry.centralizer)
+        for group in groups
+        for entry in branching_matrix(group)[1].types
+    ]
+
+
+def test_z_classes_match_the_transporter_placement(type_centralizers):
+    for group, h in type_centralizers:
+        got = [
+            (z.class_ids, z.centralizer, z.representative) for z in z_classes(group, h)
+        ]
+        expected = reference_z_grouping(group, h)
+        assert got == expected, (group, h)
+        assert [z[1].generators for z in got] == [z[1].generators for z in expected]
+
+
+def test_z_classes_open_one_centralizer_per_z_class_and_search_no_transporter(
+    type_centralizers, monkeypatch
+):
+    calls = {"centralizer": 0, "subgroup_conjugate": 0, "center": 0}
+    for name in calls:
+        fn = getattr(conjugacy, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(conjugacy, name, counted)
+    for group, h in type_centralizers:
+        for name in calls:
+            calls[name] = 0
+        zcs = z_classes(group, h)
+        assert calls["subgroup_conjugate"] == 0, (group, h)
+        assert calls["centralizer"] == len(zcs), (group, h)
+        assert calls["center"] <= len(zcs), (group, h)
 
 
 def test_generators_span_the_members(corpus):
