@@ -56,16 +56,13 @@ from .errors import (
     OutputTooLargeError,
 )
 from .fields import is_prime_power
-from .groups import FiniteGroup, Subgroup, close_subgroup
+from .groups import FiniteGroup, Subgroup, close_subgroup, require_int
 
 
 def class_count(group: FiniteGroup, d: int) -> int:
     """Number of simultaneous conjugacy classes of commuting d-tuples, from
     the group's certified exponential sum (`class_count_form`)."""
-    if not isinstance(d, int):
-        raise ValueError(f"d must be an int, got {d!r}")
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    require_int(d, 0)
     bases, numerators, denominator = _certified_form(branching_matrix(group)[0])
     total = sum(n * z**d for z, n in zip(bases, numerators))
     count, remainder = divmod(total, denominator)
@@ -130,8 +127,7 @@ def _certified_form(matrix: BranchingMatrix) -> tuple[tuple[int, ...], tuple[int
 
 def class_count_sequence(group: FiniteGroup, dmax: int) -> list[int]:
     """[c(0), c(1), ..., c(dmax)] in one pass."""
-    if dmax < 0:
-        raise ValueError("d must be >= 0")
+    require_int(dmax, 0)
     matrix, _ = branching_matrix(group)
     return matrix.first_column_sums(dmax)
 
@@ -152,8 +148,7 @@ def oracle_class_counts(group: FiniteGroup, dmax: int, cap: int = ORACLE_CAP) ->
     ORACLE_CAP).  Each distinct mask takes |G|/8 bytes; with an explicit
     `cap`, groups of about 10^4 elements take seconds.
     """
-    if dmax < 1:
-        raise ValueError("d must be >= 1")
+    require_int(dmax, 1)
     counts = []
     for d, total in enumerate(_commuting_tuple_totals(group, dmax + 1, cap)[1:], start=1):
         orbits, remainder = divmod(total, group.order)
@@ -173,8 +168,7 @@ def oracle_class_count(group: FiniteGroup, d: int, cap: int = ORACLE_CAP) -> int
 def commuting_tuple_total(group: FiniteGroup, d: int, cap: int = ORACLE_CAP) -> int:
     """Exact number of commuting d-tuples by the same recursion as the
     oracle, with the same refusals: d < 1, then groups above `cap`."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    require_int(d, 1)
     return _commuting_tuple_totals(group, d, cap)[-1]
 
 
@@ -283,8 +277,7 @@ def _centralizer_dag(group: FiniteGroup) -> tuple[tuple[int, ...], tuple]:
 
 def commuting_count(group: FiniteGroup, d: int) -> int:
     """Number of commuting d-tuples, via the branching matrix."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    require_int(d, 1)
     return group.order * class_count(group, d - 1)
 
 
@@ -332,8 +325,7 @@ def asymptotic_ratio(group: FiniteGroup, dmax: int) -> RatioReport:
     last successive difference indicates how settled it is.  No limit is
     claimed.
     """
-    if dmax < 3:
-        raise ValueError("dmax must be >= 3")
+    require_int(dmax, 3, "dmax")
     a, _ = max_abelian(group)
     counts = class_count_sequence(group, dmax)
     ratios = tuple(Fraction(counts[d], a**d) for d in range(1, dmax + 1))
@@ -468,17 +460,15 @@ def family_asymptote(spec: FamilySpec) -> FamilyAsymptote:
     n = spec.size
     dim = n * n if spec.family in ("GL", "U") else 2 * n * n + n
     _refuse_unprintable(spec.q, dim, f"the order of {spec.family}_{n}({spec.q})")
-    return FamilyAsymptote(
-        family_order(spec.family, spec.size, spec.q),
-        family_max_abelian(spec.family, spec.size, spec.q),
-        family_base(spec.family, spec.size, spec.q),
-    )
+    # a prime power q >= 2 zeroes no order formula, so a / |G| is the base
+    order = family_order(spec.family, spec.size, spec.q)
+    a = family_max_abelian(spec.family, spec.size, spec.q)
+    return FamilyAsymptote(order, a, Fraction(a, order))
 
 
 def lie_type_estimate(n_dim: int, alpha: int, q: int, d: int) -> int:
     """Leading-order size estimate q**(n + (d-1)*alpha) of commuting d-tuples."""
     if not n_dim >= alpha >= 1:
         raise ValueError(f"need n_dim >= alpha >= 1, got {n_dim}, {alpha}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    require_int(d, 1)
     return q ** (n_dim + (d - 1) * alpha)

@@ -10,21 +10,24 @@ whole-group subgroup, branching matrix and oracle centralizer DAG, a
 subgroup's generators, class partition, fingerprint and abelian flag) is
 filled in lazily.
 
-Generator closure runs over closure keys: each carrier maps an element's
-data to its key (`to_key`) and back (`from_key`), and gives the seeds (the
-generators and their inverses) their left actions x -> s * x on keys
-(`left_actions`).  A group keeps the keys; data is made from a key only
-where an element leaves the group (`FiniteGroup.element`).  A key is a
-word over letters: a permutation's images, or a matrix's column codes
-(column j as the integer sum(a[i][j] * q**i)).  When every letter fits in
-a byte (at most 256 points, or q**n <= 256), the key is `bytes` and a seed
-acts by one `bytes.translate` through a 256-byte table: a permutation's
-table is its image array, and a matrix's sends each column code met by the
-closure to the code of s times that column.  Above 256 letters the key is
-a tuple; a permutation seed multiplies through the carrier, and a matrix
-seed maps each column through a memo of its column images filled as the
-search first meets each column.  Field operations are made only for the
-column images and to invert the generators.
+Generator closure runs over closure keys.  A key is a word over letters:
+a permutation's images, or a matrix's column codes (column j as the
+integer sum(a[i][j] * q**i)).  A carrier supplies only the arithmetic and
+the letters: an element's letters (`letters`), its data back from a key
+(`from_key`), and a seed's image of one letter (`letter_image`: s's image
+array, or s times one column in n * n field operations).  The closure
+owns the key format, decided once per group (`_seed_actions`): it walks
+the orbit of the identity's letters under the seeds (the generators and
+their inverses), which holds every letter of every element, and records
+each seed's image of each letter.  When every letter met is below 256,
+keys are `bytes` and a seed acts by one `bytes.translate` through a
+256-byte table; otherwise keys are tuples and a seed maps each letter
+through its recorded images.  So a permutation group has byte keys on at
+most 256 points, and a matrix group whenever the columns its elements
+have all code below 256 (always when q**n <= 256).  No closure makes a
+carrier product; field operations are made only for the letter images and
+to invert the generators.  A group keeps the keys; data is made from a key
+only where an element leaves the group (`FiniteGroup.element`).
 
 The closure records, for each seed s, its left action on the element
 indices: act_s[x] = index(s * e_x).  The group replays every product from
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from operator import methodcaller
 
@@ -62,8 +65,8 @@ from .errors import CapExceededError, ElementNotInGroupError, MixedCarriersError
 from .fields import Field
 
 class MatrixCarrier:
-    """n-by-n invertible matrices over a finite field; closure keys are
-    column codes, as bytes when there are at most 256 (q**n <= 256)."""
+    """n-by-n invertible matrices over a finite field; the letters of a
+    matrix are its column codes."""
 
     def __init__(self, field: Field, n: int):
         self.field = field
@@ -111,46 +114,35 @@ class MatrixCarrier:
                     aug[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(aug[r], aug[col])]
         return tuple(aug[i][n + j] for i in range(n) for j in range(n))
 
-    def to_key(self, a) -> bytes | tuple[int, ...]:
-        """Closure key: column j of `a` as the integer sum(a[i][j] * q**i),
-        for each j; as bytes when every code fits in one (q**n <= 256).
-        Raises ValueError for data whose codes no byte holds."""
+    def letters(self, a) -> tuple[int, ...]:
+        """Column j of `a` as the integer sum(a[i][j] * q**i), for each j."""
         n, q = self.n, self.field.order
-        codes = (sum(a[i * n + j] * q**i for i in range(n)) for j in range(n))
-        return bytes(codes) if q**n <= BYTE_LETTERS else tuple(codes)
+        return tuple(sum(a[i * n + j] * q**i for i in range(n)) for j in range(n))
 
     def from_key(self, codes) -> tuple[int, ...]:
         """The row-major data of the matrix with these column codes."""
         n, q = self.n, self.field.order
         return tuple(chain.from_iterable(zip(*(_digits(code, q, n) for code in codes))))
 
-    def left_actions(self, seeds) -> list:
-        """x -> s * x on column codes, for each seed s.  Column j of s * x
-        is s times column j of x, so a product maps each column through a
-        memo of s's column images, and a memo miss costs n * n field
-        operations.
+    def letter_image(self, s):
+        """code -> the code of s times that column: column j of s * x is s
+        times column j of x.  Each call costs n * n field operations."""
+        field, n = self.field, self.n
+        q = field.order
+        rows = [s[i * n : (i + 1) * n] for i in reversed(range(n))]
 
-        On byte keys the memos are filled first, over the orbit of the
-        basis columns under the seeds: those are the columns of the
-        group's elements, so the closure meets no other, and the misses
-        are the ones the lazy memos would make.  Each memo then becomes a
-        256-byte table (identity off the orbit), and a product is one
-        `bytes.translate`.  Above 256 codes the memos fill lazily and a
-        product is one lookup per column.
-        """
-        memos = [_ColumnImages(self, s) for s in seeds]
-        q = self.field.order
-        if q**self.n > BYTE_LETTERS:
-            return [lambda x, image=memo.__getitem__: tuple(map(image, x)) for memo in memos]
-        orbit = [q**i for i in range(self.n)]
-        seen = set(orbit)
-        for code in orbit:  # also visits the codes appended below
-            for memo in memos:
-                image = memo[code]
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-        return [_translation(memo.items()) for memo in memos]
+        def image(code):
+            column = _digits(code, q, n)
+            out = 0
+            for row in rows:
+                acc = 0
+                for a, b in zip(row, column):
+                    if a and b:
+                        acc = field.add(acc, field.mul(a, b))
+                out = out * q + acc
+            return out
+
+        return image
 
     def describe(self, a) -> str:
         n = self.n
@@ -166,31 +158,34 @@ def _digits(code: int, q: int, n: int) -> list[int]:
     return digits
 
 
-class _ColumnImages(dict):
-    """Column code -> column code of s times that column, for one matrix s,
-    computed on first lookup."""
-
-    def __init__(self, carrier: MatrixCarrier, s):
-        n = carrier.n
-        self.field = carrier.field
-        self.rows = [s[i * n : (i + 1) * n] for i in range(n)]
-
-    def __missing__(self, code):
-        field, rows = self.field, self.rows
-        q = field.order
-        column = _digits(code, q, len(rows))
-        image = 0
-        for row in reversed(rows):
-            acc = 0
-            for a, b in zip(row, column):
-                if a and b:
-                    acc = field.add(acc, field.mul(a, b))
-            image = image * q + acc
-        self[code] = image
-        return image
-
-
 BYTE_LETTERS = 256  # closure keys are bytes when every letter is below this
+
+
+def _seed_actions(carrier, seeds):
+    """(key type, [x -> s * x on keys for each seed s]): the one decision
+    between byte and tuple keys.
+
+    The orbit of the identity's letters under the seeds holds every letter
+    of every element: all points for permutations, and for a matrix g,
+    column j of g is g times basis column j.  Each seed's image of each
+    letter met is recorded once.  Keys are bytes when every letter met is
+    below BYTE_LETTERS, and a seed then acts by one `bytes.translate`
+    (identity off the orbit); else keys are tuples and a seed maps each
+    letter through its recorded images.
+    """
+    images = [carrier.letter_image(s) for s in seeds]
+    maps = [{} for _ in seeds]
+    orbit = list(carrier.letters(carrier.identity()))
+    seen = set(orbit)
+    for a in orbit:  # also visits the letters appended below
+        for image, m in zip(images, maps):
+            b = m[a] = image(a)
+            if b not in seen:
+                seen.add(b)
+                orbit.append(b)
+    if max(orbit, default=0) < BYTE_LETTERS:
+        return bytes, [_translation(m.items()) for m in maps]
+    return tuple, [lambda x, image=m.__getitem__: tuple(map(image, x)) for m in maps]
 
 
 def _translation(pairs):
@@ -203,8 +198,8 @@ def _translation(pairs):
 
 
 class PermutationCarrier:
-    """Permutations of {0 .. m-1} stored as image arrays; closure keys are
-    the image arrays, as bytes on at most 256 points."""
+    """Permutations of {0 .. m-1} stored as image arrays; the letters of a
+    permutation are its images."""
 
     def __init__(self, domain: int):
         self.domain = domain
@@ -226,21 +221,15 @@ class PermutationCarrier:
     def inv(self, a):
         return tuple(_inverse_permutation(a))
 
-    def to_key(self, a) -> bytes | tuple[int, ...]:
-        """Closure key: the image array, as bytes on at most 256 points.
-        Raises ValueError for data that no byte holds."""
-        return bytes(a) if self.domain <= BYTE_LETTERS else a
+    def letters(self, a) -> tuple[int, ...]:
+        return a
 
     def from_key(self, key) -> tuple[int, ...]:
         return tuple(key)
 
-    def left_actions(self, seeds) -> list:
-        """x -> s * x, for each seed s: (s * x)(i) = s(x(i)), so on byte
-        keys s acts by translating x through its image array, and above 256
-        points by one carrier product."""
-        if self.domain > BYTE_LETTERS:
-            return [partial(self.mul, s) for s in seeds]
-        return [_translation(enumerate(s)) for s in seeds]
+    def letter_image(self, s):
+        """i -> s(i): (s * x)(i) = s(x(i))."""
+        return s.__getitem__
 
     def describe(self, a) -> str:
         return ",".join(str(x) for x in a)
@@ -263,6 +252,14 @@ class GroupElement:
 def is_int(x) -> bool:
     """An int but not a bool, which json.loads gives for true and false."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def require_int(x, low: int, name: str = "d") -> None:
+    """Refuse x with ValueError unless it is an int (`is_int`) and >= low."""
+    if not is_int(x):
+        raise ValueError(f"{name} must be an int, got {x!r}")
+    if x < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 def matrix_element(field: Field, rows) -> GroupElement:
@@ -334,6 +331,8 @@ class FiniteGroup:
         return f"FiniteGroup({label}, order={self.order})"
 
     def check_index(self, i: int) -> None:
+        if not is_int(i):
+            raise ValueError(f"element index {i!r} is not an int")
         if not 0 <= i < self.order:
             raise ElementNotInGroupError(f"element index {i} outside group of order {self.order}")
 
@@ -370,8 +369,8 @@ class FiniteGroup:
 
     def element_index(self, el: GroupElement) -> int:
         if el.carrier == self.carrier and len(el.data) == len(self.carrier.identity()):
-            try:
-                key = self.carrier.to_key(el.data)
+            try:  # a key of the group's own type
+                key = type(self.elements[0])(self.carrier.letters(el.data))
             except (TypeError, ValueError):  # malformed data that no byte key holds
                 key = None
             i = self.index.get(key)
@@ -594,10 +593,10 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
     act_s[x] = index(s * e_x) is recorded for each seed s, from which
     `FiniteGroup` builds its product words.
 
-    The search runs over the carrier's closure keys, each seed acting
-    through its entry of `left_actions`.  The keys become
-    `FiniteGroup.elements` and key its index, with no conversion back to
-    data.
+    The search runs over closure keys, bytes or tuples as `_seed_actions`
+    decides, each seed acting through its recorded letter images.  The
+    keys become `FiniteGroup.elements` and key its index, with no
+    conversion back to data.
 
     The generators' indices, in the given order without repeats or the
     identity, become `FiniteGroup.generators`; no closure is needed to find
@@ -618,8 +617,8 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
         if inv not in seeds:
             seeds.append(inv)
 
-    start = carrier.to_key(carrier.identity())
-    steps = carrier.left_actions(seeds)
+    key_type, steps = _seed_actions(carrier, seeds)
+    start = key_type(carrier.letters(carrier.identity()))
     elements = [start]
     index = {start: 0}
     actions = [[] for _ in seeds]
@@ -633,7 +632,7 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
                 if i >= cap:
                     raise CapExceededError(f"closure exceeded cap of {cap} elements")
             act.append(i)
-    del steps  # free the column memos or tables before the group builds its words
+    del steps  # free the letter images or tables before the group builds its words
     # act_s[0] = index(s), and distinct generator data have distinct indices
     generators = tuple(i for i in (act[0] for act in actions[:distinct]) if i != 0)
     return FiniteGroup(carrier, elements, index, actions, generators, name=name)

@@ -46,6 +46,7 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import chain
 
 from .errors import PreconditionError, UnknownFixtureError, WindowViolatedError
+from .groups import require_int
 from .report import CheckResult, StructureReport
 
 NEG_INF = float("-inf")
@@ -310,8 +311,7 @@ def exact_walk(matrix, start: int, steps: int, zero, one):
 
 def exact_power(matrix, d: int, zero, one):
     """B^d (d >= 0) by repeated squaring, over entries as for `exact_walk`."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    require_int(d, 0)
 
     def times(a, b):
         rows = [[(k, x) for k, x in enumerate(row) if x] for row in a]
@@ -359,8 +359,7 @@ def tropical_first_column_degrees(matrix: PsiMatrix, dmax: int) -> list[int]:
 
 def psi_power(matrix: PsiMatrix, d: int):
     """Exact d-th power of the entries, for validating the degree calculus."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    require_int(d, 1)
     return exact_power(matrix.entries, d, PsiPoly.zero(), PsiPoly.monomial(0))
 
 
@@ -461,10 +460,7 @@ def first_column_degree(matrix: PsiMatrix, d: int) -> int:
     Every larger d reads the single degree off `degree_envelope`, in
     O(beta^3) whatever d is.
     """
-    if not isinstance(d, int):
-        raise ValueError(f"d must be an int, got {d!r}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    require_int(d, 1)
     if d <= _walked_dmax(matrix):
         degrees = tropical_first_column_degrees(matrix, d)
         _cross_check(matrix, degrees)
@@ -531,6 +527,7 @@ def degree_windows(matrix: PsiMatrix, dmax: int):
     every d <= EXACT_CHECK_DMAX cross-checked in one exact pass.  The walk
     stops at max(EXACT_CHECK_DMAX, beta - 1); later d read the envelope,
     one at a time as they are yielded."""
+    require_int(dmax, 0)
     walked = min(dmax, _walked_dmax(matrix))
     degrees = tropical_first_column_degrees(matrix, walked)
     _cross_check(matrix, degrees)

@@ -31,6 +31,7 @@ from commprob.errors import CapExceededError, CertificateError, InvalidFamilyErr
 from commprob.fields import field_create
 from commprob.groups import FiniteGroup, Subgroup, group_generate, matrix_element, permutation_element
 from commprob.groupspec import corpus_group
+from commprob.symbolic import degree_windows, first_column_degree, fixture
 
 from conftest import (
     bruteforce_abelian_subgroups,
@@ -149,6 +150,33 @@ def test_single_counts_refuse_a_non_int_d(corpus):
         with pytest.raises(ValueError, match="d must be an int"):
             call(q8, d)
     assert class_count(q8, 2) == 22
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda q8, gl2: commuting_count(q8, 3.0), "d must be an int, got 3.0"),
+        (lambda q8, gl2: cp(q8, 3.0), "d must be an int, got 3.0"),
+        (lambda q8, gl2: class_count(q8, True), "d must be an int, got True"),
+        (lambda q8, gl2: first_column_degree(gl2, True), "d must be an int, got True"),
+        (lambda q8, gl2: class_count_sequence(q8, True), "d must be an int, got True"),
+        (lambda q8, gl2: class_count_sequence(q8, 2.0), "d must be an int, got 2.0"),
+        (lambda q8, gl2: oracle_class_counts(q8, 2.0), "d must be an int, got 2.0"),
+        (lambda q8, gl2: commuting_tuple_total(q8, 2.0), "d must be an int, got 2.0"),
+        (lambda q8, gl2: asymptotic_ratio(q8, 4.0), "dmax must be an int, got 4.0"),
+        (lambda q8, gl2: list(degree_windows(gl2, 3.0)), "d must be an int, got 3.0"),
+        (lambda q8, gl2: conjugacy.centralizer(q8, (1.0,)), "element index 1.0 is not an int"),
+    ],
+    ids=[
+        "commuting_count", "cp", "class_count", "first_column_degree",
+        "class_count_sequence_bool", "class_count_sequence", "oracle_class_counts",
+        "commuting_tuple_total", "asymptotic_ratio", "degree_windows", "centralizer",
+    ],
+)
+def test_count_entry_points_refuse_floats_and_bools(corpus, call, message):
+    # each refusal names the caller's own argument, and no TypeError escapes
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(corpus["q8"], fixture("gl2"))
 
 
 @pytest.mark.parametrize(

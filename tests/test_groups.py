@@ -510,6 +510,8 @@ CLOSURE_CASES = {
     # orbit of the basis columns is met
     "unipotent_gl2_f16": lambda: gl2_f16_upper_triangular(diagonal=False),
     "borel_gl2_f16": lambda: gl2_f16_upper_triangular(diagonal=True),
+    # q**n = 289 column codes, of which the closure meets only codes below 256
+    "unipotent_gl2_f17": lambda: [matrix_element(field_create(17, 1), [[1, 1], [0, 1]])],
 }
 
 
@@ -537,6 +539,10 @@ def test_closure_keys_do_not_change_the_recorded_actions():
     borel = group_generate(gl2_f16_upper_triangular(diagonal=True))
     assert (unipotent.order, borel.order) == (16, 15 * 15 * 16)
     assert type(borel.elements[0]) is bytes
+    # the key type follows the letters met, not the alphabet: q**n = 289,
+    # but every column of a unipotent matrix over F17 codes below 256
+    unipotent_f17 = group_generate(CLOSURE_CASES["unipotent_gl2_f17"]())
+    assert (unipotent_f17.order, type(unipotent_f17.elements[0])) == (17, bytes)
 
 
 def test_matrix_closure_cap_is_exact():
@@ -547,10 +553,40 @@ def test_matrix_closure_cap_is_exact():
 
 
 def test_closure_makes_no_carrier_products(monkeypatch):
-    # matrix seeds act through memoized column images, not MatrixCarrier.mul
+    # seeds act through recorded letter images, on byte and tuple keys alike
     def refuse(carrier, a, b):
         raise AssertionError("carrier product in the closure")
 
-    monkeypatch.setattr(groups_module.MatrixCarrier, "mul", refuse)
+    for cls in (groups_module.MatrixCarrier, groups_module.PermutationCarrier):
+        monkeypatch.setattr(cls, "mul", refuse)
     assert build_group(parse_group_spec(GL2_F4_SPEC)).order == 180
     assert build_group(parse_group_spec(GL2_F5_SPEC)).order == 480
+    assert group_generate(symmetric_group(7)).order == 5040
+    for name, order in (("s3_on_257", 6), ("gl1_f10007", 10006)):
+        group = group_generate(CLOSURE_CASES[name]())
+        assert (group.order, type(group.elements[0])) == (order, tuple)
+
+
+def letter_positions(group):
+    """The product words with each letter as its position in the order of
+    first use, and the letters in that order."""
+    first = {}
+    words = [tuple(first.setdefault(id(act), (len(first), act))[0] for act in w) for w in group._words]
+    return words, [act for _, act in first.values()]
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, "gl2_f4", "s7"])
+def test_tuple_keys_give_the_byte_key_group(monkeypatch, name):
+    gens = CLOSURE_CASES[name]()
+    byte_keyed = group_generate(gens)
+    monkeypatch.setattr(groups_module, "BYTE_LETTERS", 0)  # every letter is too large
+    tuple_keyed = group_generate(gens)
+    assert (type(byte_keyed.elements[0]), type(tuple_keyed.elements[0])) == (bytes, tuple)
+    assert tuple_keyed._actions == byte_keyed._actions
+    assert tuple_keyed._inv_table == byte_keyed._inv_table
+    assert letter_positions(tuple_keyed) == letter_positions(byte_keyed)
+    assert tuple_keyed.generators == byte_keyed.generators
+    for i in range(tuple_keyed.order):
+        el = tuple_keyed.element(i)
+        assert el == byte_keyed.element(i)
+        assert tuple_keyed.element_index(el) == byte_keyed.element_index(el) == i
