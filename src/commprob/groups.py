@@ -161,7 +161,7 @@ def _digits(code: int, q: int, n: int) -> list[int]:
 BYTE_LETTERS = 256  # closure keys are bytes when every letter is below this
 
 
-def _seed_actions(carrier, seeds):
+def _seed_actions(carrier, seeds, cap: int):
     """(key type, [x -> s * x on keys for each seed s]): the one decision
     between byte and tuple keys.
 
@@ -172,10 +172,15 @@ def _seed_actions(carrier, seeds):
     below BYTE_LETTERS, and a seed then acts by one `bytes.translate`
     (identity off the orbit); else keys are tuples and a seed maps each
     letter through its recorded images.
+
+    Each element has as many letters as the identity, so an orbit of more
+    than that many times `cap` letters proves the group larger than `cap`:
+    CapExceededError is raised then, before the rest of the orbit is walked.
     """
     images = [carrier.letter_image(s) for s in seeds]
     maps = [{} for _ in seeds]
     orbit = list(carrier.letters(carrier.identity()))
+    most = len(orbit) * cap
     seen = set(orbit)
     for a in orbit:  # also visits the letters appended below
         for image, m in zip(images, maps):
@@ -183,6 +188,8 @@ def _seed_actions(carrier, seeds):
             if b not in seen:
                 seen.add(b)
                 orbit.append(b)
+                if len(orbit) > most:
+                    raise CapExceededError(f"closure exceeded cap of {cap} elements")
     if max(orbit, default=0) < BYTE_LETTERS:
         return bytes, [_translation(m.items()) for m in maps]
     return tuple, [lambda x, image=m.__getitem__: tuple(map(image, x)) for m in maps]
@@ -600,7 +607,8 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
 
     The generators' indices, in the given order without repeats or the
     identity, become `FiniteGroup.generators`; no closure is needed to find
-    them.  Raises CapExceededError as soon as the closure grows past `cap`.
+    them.  Raises CapExceededError as soon as the closure grows past `cap`,
+    or earlier, when the orbit of letters alone shows the group is larger.
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -617,7 +625,7 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
         if inv not in seeds:
             seeds.append(inv)
 
-    key_type, steps = _seed_actions(carrier, seeds)
+    key_type, steps = _seed_actions(carrier, seeds, cap)
     start = key_type(carrier.letters(carrier.identity()))
     elements = [start]
     index = {start: 0}

@@ -526,8 +526,13 @@ def degree_windows(matrix: PsiMatrix, dmax: int):
     """Yield degree_window(matrix, d) for d = 1..dmax from one walk, with
     every d <= EXACT_CHECK_DMAX cross-checked in one exact pass.  The walk
     stops at max(EXACT_CHECK_DMAX, beta - 1); later d read the envelope,
-    one at a time as they are yielded."""
+    one at a time as they are yielded.  A non-int or negative dmax is
+    refused at the call, before any window is asked for."""
     require_int(dmax, 0)
+    return _degree_windows(matrix, dmax)
+
+
+def _degree_windows(matrix: PsiMatrix, dmax: int):
     walked = min(dmax, _walked_dmax(matrix))
     degrees = tropical_first_column_degrees(matrix, walked)
     _cross_check(matrix, degrees)

@@ -164,7 +164,7 @@ def test_single_counts_refuse_a_non_int_d(corpus):
         (lambda q8, gl2: oracle_class_counts(q8, 2.0), "d must be an int, got 2.0"),
         (lambda q8, gl2: commuting_tuple_total(q8, 2.0), "d must be an int, got 2.0"),
         (lambda q8, gl2: asymptotic_ratio(q8, 4.0), "dmax must be an int, got 4.0"),
-        (lambda q8, gl2: list(degree_windows(gl2, 3.0)), "d must be an int, got 3.0"),
+        (lambda q8, gl2: degree_windows(gl2, 3.0), "d must be an int, got 3.0"),
         (lambda q8, gl2: conjugacy.centralizer(q8, (1.0,)), "element index 1.0 is not an int"),
     ],
     ids=[

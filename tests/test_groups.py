@@ -552,6 +552,38 @@ def test_matrix_closure_cap_is_exact():
     assert build_group(spec, cap=48).order == 48
 
 
+@pytest.mark.parametrize(
+    "p, rows",
+    [
+        (65521, ([[1, 1], [0, 1]], [[1, 0], [1, 1]])),  # SL2, 65521^2 - 1 columns
+        (101, ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])),
+    ],
+    ids=["sl2_f65521", "gl3_f101_subgroup"],
+)
+def test_cap_refuses_a_large_matrix_alphabet_at_once(monkeypatch, p, rows):
+    # an orbit of more than n * cap columns proves the group larger than cap,
+    # so the letter images stop there rather than covering every column
+    cap, calls = 50, []
+    letter_image = groups_module.MatrixCarrier.letter_image
+
+    def counted(carrier, s):
+        image = letter_image(carrier, s)
+
+        def count(code):
+            calls.append(code)
+            if len(calls) > 4 * len(rows[0]) * cap:
+                raise AssertionError("the orbit walk went past the cap")
+            return image(code)
+
+        return count
+
+    monkeypatch.setattr(groups_module.MatrixCarrier, "letter_image", counted)
+    field = field_create(p, 1)
+    with pytest.raises(CapExceededError, match=f"cap of {cap} elements"):
+        group_generate([matrix_element(field, r) for r in rows], cap=cap)
+    assert calls
+
+
 def test_closure_makes_no_carrier_products(monkeypatch):
     # seeds act through recorded letter images, on byte and tuple keys alike
     def refuse(carrier, a, b):
