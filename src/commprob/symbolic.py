@@ -46,7 +46,7 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import chain
 
 from .errors import PreconditionError, UnknownFixtureError, WindowViolatedError
-from .groups import require_int
+from .groups import is_int, require_int
 from .report import CheckResult, StructureReport
 
 NEG_INF = float("-inf")
@@ -60,7 +60,7 @@ class PsiPoly:
     def __init__(self, coeffs=None):
         clean = {}
         for deg, c in (coeffs or {}).items():
-            if not (isinstance(deg, int) and isinstance(c, int)):
+            if not (is_int(deg) and is_int(c)):
                 raise ValueError(f"exponents and coefficients must be ints, got {deg!r}: {c!r}")
             if c < 0:
                 raise ValueError("coefficients must be non-negative")
@@ -179,7 +179,7 @@ class PsiMatrix:
 def _grid_exponent(e) -> int:
     if e is None:
         return -1
-    if not isinstance(e, int):
+    if not is_int(e):
         raise ValueError(f"exponents must be ints or None, got {e!r}")
     return max(e, -1)
 
@@ -193,7 +193,12 @@ def psi_matrix_from_exponents(
     depths=None,
     abelian=None,
 ) -> PsiMatrix:
-    """Build a PsiMatrix from an int exponent grid; -1 (or None) marks zeros."""
+    """Build a PsiMatrix from an int exponent grid; -1 (or None) marks zeros.
+
+    group_dim must be an int >= 1, and rank and center_dim ints >= 0."""
+    require_int(group_dim, 1, "group_dim")
+    require_int(rank, 0, "rank")
+    require_int(center_dim, 0, "center_dim")
     rows = tuple(tuple(_grid_exponent(e) for e in row) for row in grid)
     size = len(rows)
     if size == 0:

@@ -1,8 +1,20 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from commprob.errors import NonPrimeError, ReducibleModulusError
-from commprob.fields import Field, field_create, is_prime, is_prime_power
+from commprob.fields import (
+    Field,
+    _poly_add,
+    _poly_inv,
+    _poly_mul,
+    _poly_neg,
+    field_create,
+    is_prime,
+    is_prime_power,
+)
 
 
 def test_prime_fields():
@@ -182,3 +194,55 @@ def test_field_encode_decode_round_trip(drawn):
     digits = field.decode(a)
     assert len(digits) == field.k and all(0 <= x < field.p for x in digits)
     assert field.encode(digits) == a
+
+
+# The uncached polynomial arithmetic, the reference for every table.
+REFERENCE = {
+    "add": _poly_add,
+    "mul": _poly_mul,
+    "sub": lambda field, a, b: _poly_add(field, a, _poly_neg(field, b)),
+    "neg": _poly_neg,
+    "inv": _poly_inv,
+}
+
+TABLE_FIELDS = {
+    "F4": (2, 2, (1, 1, 1)),
+    "F8": (2, 3, (1, 1, 0, 1)),
+    "F9": (3, 2, (1, 0, 1)),
+    "F16": (2, 4, (1, 1, 0, 0, 1)),  # x^4 + x + 1
+    "F25": (5, 2, (2, 0, 1)),
+    "F27": (3, 3, (1, 2, 0, 1)),  # x^3 + 2x + 1, no root mod 3
+    "F1024": (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),  # x^10 + x^3 + 1
+}
+
+
+@pytest.mark.parametrize("name", TABLE_FIELDS)
+def test_tables_return_what_the_polynomial_code_returns(name):
+    q = TABLE_FIELDS[name][0] ** TABLE_FIELDS[name][1]
+    if q <= 27:
+        pairs = list(itertools.product(range(q), repeat=2))
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(1000)]
+    singles = sorted({a for a, _ in pairs})
+    for op, calls in (
+        ("add", pairs),
+        ("mul", pairs),
+        ("sub", pairs),
+        ("neg", [(a,) for a in singles]),
+        ("inv", [(a,) for a in singles if a]),
+    ):
+        field = field_create(*TABLE_FIELDS[name])  # a fresh field: the first pass is cold
+        for _ in ("cold", "warm"):
+            for args in calls:
+                assert getattr(field, op)(*args) == REFERENCE[op](field, *args), (op, args)
+
+    # an out-of-range operand after its would-be alias under the int key
+    # a*q + b is cached: (1, 1 + q) and (2, 1) share that key
+    field = field_create(*TABLE_FIELDS[name])
+    for op in ("add", "mul", "sub"):
+        alias = getattr(field, op)(2, 1)
+        want = REFERENCE[op](field, 1, 1 + q)
+        assert want != alias and getattr(field, op)(1, 1 + q) == want
+    for op in ("neg", "inv"):
+        assert getattr(field, op)(1 + q) == REFERENCE[op](field, 1 + q)

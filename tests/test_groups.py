@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from commprob import fields as fields_module
 from commprob import groups as groups_module
 from commprob.branching import branching_matrix
 from commprob.conjugacy import centralizer, conjugacy_classes, subgroup_conjugate
@@ -398,6 +399,21 @@ def test_composed_table_matches_carrier_extension_field():
     group = gl2(2, (1, 0, 1, 1))
     assert group.order == 3528
     assert_mul_inv_match_carrier(group, pairs=2000)
+
+
+def test_extension_field_reductions_are_bounded_by_distinct_products(monkeypatch):
+    # F8 has 64 products; building SL2(F8) reduces no product twice
+    gens = parse_group_spec(SL2_F8_SPEC).generator_elements()
+    poly_mod = fields_module._poly_mod
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return poly_mod(*args)
+
+    monkeypatch.setattr(fields_module, "_poly_mod", counted)
+    assert group_generate(gens).order == 504
+    assert 0 < len(calls) <= 8 * 8
 
 
 def test_composed_table_matches_carrier_conjugated_generators():

@@ -192,7 +192,7 @@ def test_psi_poly_basics():
         PsiPoly({1: -1})
 
 
-@pytest.mark.parametrize("coeffs", [{1: 0.5}, {1.7: 2}, {1: 2.0}])
+@pytest.mark.parametrize("coeffs", [{1: 0.5}, {1.7: 2}, {1: 2.0}, {True: 1}, {1: True}])
 def test_psi_poly_refuses_non_int_exponents_and_coefficients(coeffs):
     # a fractional coefficient would be stored as a false-looking zero
     # term, breaking the rule that exactly the zero entries are false
@@ -205,6 +205,28 @@ def test_exponent_grid_takes_ints_and_none_only():
         psi_matrix_from_exponents("t", [[1.5, -1], [1, 2]], 4, 2)
     matrix = psi_matrix_from_exponents("t", [[1, None], [1, -3]], 4, 2)
     assert matrix.grid == ((1, -1), (1, -1))
+
+
+@pytest.mark.parametrize(
+    "name,value,message",
+    [
+        ("group_dim", 0, "group_dim must be >= 1"),
+        ("group_dim", -4, "group_dim must be >= 1"),
+        ("group_dim", 4.0, "group_dim must be an int"),
+        ("group_dim", True, "group_dim must be an int"),
+        ("rank", -1, "rank must be >= 0"),
+        ("rank", 1.0, "rank must be an int"),
+        ("center_dim", -1, "center_dim must be >= 0"),
+        ("center_dim", True, "center_dim must be an int"),
+        ("grid", [[True]], "exponents must be ints or None"),
+    ],
+)
+def test_psi_matrix_refuses_bad_input_at_the_call(name, value, message):
+    # group_dim=0 used to escape later as a ZeroDivisionError from
+    # degree_window, and a bool was stored as an int
+    args = {"name": "t", "grid": [[1]], "group_dim": 4, "rank": 1, name: value}
+    with pytest.raises(ValueError, match=message):
+        psi_matrix_from_exponents(**args)
 
 
 def test_psi_poly_ring_laws():
