@@ -42,17 +42,18 @@ class TypeRegistry:
     anything but the stored centralizers.  This is the one mutable container
     in the package: registrations must be serialized by the caller.
 
-    A lookup tries the types in id order.  `subgroup_conjugate` rejects a
-    type whose centralizer differs from the subgroup in order or in
-    `fingerprint` (the multiset of G-class ids of its members, which
-    conjugation keeps) before any transporter search.  Registered types are
-    pairwise non-conjugate, so at most one type matches a subgroup, and the
-    scan order cannot change the type id a lookup returns.
+    Types are bucketed by centralizer order and `fingerprint` (the multiset
+    of G-class ids of its members, which conjugation keeps), and a lookup
+    runs `subgroup_conjugate`'s transporter search only on the types of the
+    subgroup's own bucket, in id order.  Registered types are pairwise
+    non-conjugate, so at most one type matches a subgroup, and the search
+    order cannot change the type id a lookup returns.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.types: list[TypeEntry] = []
+        self._buckets: dict[tuple, list[int]] = {}  # (order, fingerprint) -> type ids
         self._register(Subgroup.whole(group), (0,))
 
     def __len__(self) -> int:
@@ -64,14 +65,15 @@ class TypeRegistry:
         return self.types[type_id]
 
     def lookup(self, subgroup: Subgroup) -> int | None:
-        for tid, entry in enumerate(self.types):
-            if subgroup_conjugate(self.group, entry.centralizer, subgroup) is not None:
+        for tid in self._buckets.get((subgroup.order, subgroup.fingerprint), ()):
+            if subgroup_conjugate(self.group, self.types[tid].centralizer, subgroup) is not None:
                 return tid
         return None
 
     def _register(self, subgroup: Subgroup, representative: tuple[int, ...]) -> int:
         tid = len(self.types)
         self.types.append(TypeEntry(representative, subgroup, len(representative)))
+        self._buckets.setdefault((subgroup.order, subgroup.fingerprint), []).append(tid)
         return tid
 
     def lookup_or_register(self, subgroup: Subgroup, representative: tuple[int, ...]) -> tuple[int, bool]:

@@ -18,19 +18,30 @@ Handbook of Computational Group Theory, section 4.1):
   subgroup K records, for each orbit point y, a transversal element u_y
   with u_y x u_y^-1 = y.  Every search edge y -> z = s y s^-1 that is not
   a tree edge gives a Schreier generator u_z^-1 s u_y, which fixes x;
-  together they generate the stabilizer (Schreier's lemma).
+  together they generate the stabilizer (Schreier's lemma).  The orbit is
+  x's class in K, so when K's partition is cached (a z-class opener, or
+  the whole group once partitioned) the stabilizer order |K| / |class(x)|
+  is known in advance: the search yields each Schreier generator as soon
+  as its edge is found, straight into the closure, and stops once the
+  closure holds that many elements.  A central x returns K with no search.
+  Otherwise (later tuple elements, or a subgroup with no partition) the
+  same search runs to the end first to learn the orbit length.  The
+  generators come in the same order either way, so the closure draws the
+  same prefix and the stabilizer has the same generators.
 - The centre test places classes in z-classes with no transporter search.
   For x and y in H, C_H(x) and C_H(y) are H-conjugate exactly when
   |class(x)| = |class(y)| and class(y) meets Z(C_H(x)).  If
   C_H(y) = g C_H(x) g^-1, then g^-1 y g lies in Z(C_H(x)).  Conversely, a
   y' of class(y) in Z(C_H(x)) has C_H(x) inside C_H(y'), and the two
-  orders agree by orbit-stabilizer.
+  orders agree by orbit-stabilizer.  An abelian C_H(x) is its own centre, so
+  its centre is read off its members with no filter.
 - A transporter candidate g maps A onto B when |A| = |B| and g a g^-1 lies
   in B for each generator a of A, since g A g^-1 is then a subgroup of B
   of the same order.  The type registry of `branching` searches the whole
-  group this way, after the order and fingerprint test.  Candidates are
-  tried in the same order as always, so the first witness is the same as
-  when every member of A is tested.
+  group this way, but only against the types whose centralizers share the
+  subgroup's order and fingerprint.  Candidates are tried in the same
+  order as always, so the first witness is the same as when every member
+  of A is tested.
 
 Every conjugation goes through `FiniteGroup.conj`, which costs
 2 * |word(s)| + 2 list reads for a conjugator s and no product.  A
@@ -39,7 +50,8 @@ cost 4 reads per member and generator; a subgroup's generators and the
 transporter's candidates pay for their words.  The only products left in
 the orbit searches are the stabilizer's transversal elements, and its
 Schreier generators and closure (`groups.close_subgroup`), which stop as
-soon as it holds |K| / |orbit| elements.
+soon as it holds |K| / |orbit| elements, and with them the search when the
+orbit length is known.
 """
 
 from __future__ import annotations
@@ -100,24 +112,40 @@ def commuting_tuple(group: FiniteGroup, indices) -> tuple[int, ...]:
 
 
 def _stabilizer(group: FiniteGroup, k: Subgroup, x: int) -> Subgroup:
-    """Stabilizer of x in K under conjugation, by orbit-stabilizer."""
+    """Stabilizer of x in K under conjugation, by orbit-stabilizer.
+
+    The orbit length is the size of x's class when K's partition is cached
+    and holds x; the closure then draws Schreier generators while the
+    search runs, and stops it.  Otherwise the search runs to the end first.
+    """
     mul, inv, conj, gens = group.mul, group.inv, group.conj, k.generators
-    orbit = [x]
     transversal = {x: 0}  # orbit point y -> u in K with u x u^-1 = y
-    back_edges = []  # (z, s, u_y) for the search edges outside the tree
-    for y in orbit:  # also visits the points appended below: breadth-first
-        u = transversal[y]
-        for s in gens:
-            z = conj(s, y)
-            if z in transversal:
-                back_edges.append((z, s, u))
-            else:
-                transversal[z] = mul(s, u)
-                orbit.append(z)
-    if len(orbit) == 1:
+
+    def back_edges():
+        """(z, s, u_y) for each search edge outside the tree, as found."""
+        orbit = [x]
+        for y in orbit:  # also visits the points appended below: breadth-first
+            u = transversal[y]
+            for s in gens:
+                z = conj(s, y)
+                if z in transversal:
+                    yield z, s, u
+                else:
+                    transversal[z] = mul(s, u)
+                    orbit.append(z)
+
+    partition = k._classes
+    cid = None if partition is None else partition.class_of.get(x)
+    if cid is None:
+        edges = list(back_edges())
+        size = len(transversal)
+    else:
+        edges = back_edges()
+        size = partition.classes[cid].size
+    if size == 1:
         return k
-    schreier = (mul(inv(transversal[z]), mul(s, u)) for z, s, u in back_edges)
-    members, gens = close_subgroup(mul, schreier, k.order // len(orbit))
+    schreier = (mul(inv(transversal[z]), mul(s, u)) for z, s, u in edges)
+    members, gens = close_subgroup(mul, schreier, k.order // size)
     return Subgroup(group, members, gens)
 
 
@@ -224,8 +252,10 @@ def z_classes(group: FiniteGroup, subgroup: Subgroup | None = None) -> list[ZCla
             continue
         for gid in opened.get(size, ()):
             if centres[gid] is None:
-                class_of = partition.class_of
-                centres[gid] = {class_of[z] for z in center(group, within=cents[gid]).members}
+                class_of, cent = partition.class_of, cents[gid]
+                # an abelian centralizer is its own centre
+                centre = cent if cent.is_abelian else center(group, within=cent)
+                centres[gid] = {class_of[z] for z in centre.members}
             if cid in centres[gid]:
                 grouped[gid].append(cid)
                 break

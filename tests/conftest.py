@@ -203,3 +203,17 @@ def bruteforce_abelian_subgroups(group):
 def bruteforce_max_abelian_order(group):
     """Largest abelian subgroup order, from `bruteforce_abelian_subgroups`."""
     return max(len(s) for s in bruteforce_abelian_subgroups(group))
+
+
+def unitriangular(n, p):
+    """UT_n(F_p), the upper unitriangular n x n matrices over F_p, from the
+    n - 1 elementary transvections e_{i,i+1}."""
+    field = field_create(p, 1)
+    gens = [
+        matrix_element(
+            field,
+            [[1 if r == c or (r, c) == (i, i + 1) else 0 for c in range(n)] for r in range(n)],
+        )
+        for i in range(n - 1)
+    ]
+    return group_generate(gens, name=f"UT{n}(F{p})")

@@ -4,12 +4,12 @@ import pytest
 
 from commprob import branching, conjugacy
 from commprob.branching import BranchingMatrix, branching_matrix, verify_structure
-from commprob.conjugacy import conjugacy_classes
-from commprob.counting import class_count, class_count_sequence
+from commprob.conjugacy import centralizer, conjugacy_classes
+from commprob.counting import ORACLE_CAP, class_count, class_count_sequence
 from commprob.groups import center, group_generate, permutation_element, subgroup_or_whole
 from commprob.symbolic import exact_walk, fixture, verify_symbolic_structure
 
-from conftest import gl2_generators
+from conftest import gl2_generators, unitriangular
 from test_groups import conjugated_gl2_f3
 
 
@@ -293,3 +293,21 @@ def test_diagonal_check_filters_a_fresh_centre_per_type(corpus, monkeypatch):
     for _ in range(2):
         assert verify_structure(matrix, registry).ok
     assert made == [entry.centralizer for entry in registry.types] * 2
+
+
+@pytest.mark.parametrize("n, p, beta", [(4, 3, 43), (5, 2, 225)])
+def test_unitriangular_groups_above_the_oracle_cap(n, p, beta):
+    # UT4(F3) (729 elements) and UT5(F2) (1,024) have many types for their
+    # order.  Both lie above the oracle cap, so c(1) and c(2) are checked
+    # against class counts instead: c(1) = k(G) and c(2) = sum of k(C(r))
+    # over the class representatives r.
+    group = unitriangular(n, p)
+    assert group.order == p ** (n * (n - 1) // 2) > ORACLE_CAP
+    matrix, registry = branching_matrix(group)
+    assert matrix.size == beta
+    assert verify_structure(matrix, registry).ok
+    reps = [c.representative for c in conjugacy_classes(group).classes]
+    pairs = sum(conjugacy_classes(group, within=centralizer(group, (r,))).count for r in reps)
+    expected = [1, len(reps), pairs]
+    assert class_count_sequence(group, 2) == expected
+    assert [class_count(group, d) for d in (1, 2)] == expected[1:]

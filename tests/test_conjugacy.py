@@ -419,6 +419,43 @@ def test_z_classes_open_one_centralizer_per_z_class_and_search_no_transporter(
         assert calls["center"] <= len(zcs), (group, h)
 
 
+@pytest.mark.parametrize("name", ["s4", "gl2_f3", "gl3_f2"])
+def test_an_openers_stabilizer_stops_before_walking_its_class(monkeypatch, name):
+    # with the partition cached, the orbit length of a class representative
+    # is its class size, and the walk stops once the stabilizer is complete;
+    # walking every class to the end costs |G| conjugations per generator
+    group = corpus_group(name)  # fresh: nothing cached yet
+    reps = [c.representative for c in conjugacy_classes(group).classes]
+    calls = []
+    conj = FiniteGroup.conj
+
+    def counted(group, g, x):
+        calls.append(1)
+        return conj(group, g, x)
+
+    monkeypatch.setattr(FiniteGroup, "conj", counted)
+    cents = [centralizer(group, (r,)) for r in reps]
+    assert len(calls) < group.order
+    monkeypatch.undo()
+    for r, cent in zip(reps, cents):
+        assert cent.members == reference_centralizer(group, (r,), range(group.order))
+
+
+def test_early_stopped_and_full_walks_give_the_same_stabilizer(corpus):
+    # H's cached partition stops the walk early; a fresh copy of H has no
+    # partition, so its walk runs to the end before the closure
+    for group, registry, tid in registered_subgroups(corpus):
+        h = registry.entry(tid).centralizer
+        fresh = Subgroup(group, h.members, h.generators)
+        for cls in conjugacy_classes(group, within=h).classes:
+            x = cls.representative
+            early = centralizer(group, (x,), within=h)
+            full = centralizer(group, (x,), within=fresh)
+            assert fresh._classes is None
+            assert early.members == full.members == reference_centralizer(group, (x,), h.members)
+            assert early.generators == full.generators, (group, tid, x)
+
+
 def test_generators_span_the_members(corpus):
     rng = random.Random(5)
     for group, registry, tid in registered_subgroups(corpus):
