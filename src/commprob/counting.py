@@ -25,14 +25,17 @@ count of G on commuting d-tuples is |C_{d+1}(G)| / |G| where
 |C_{k+1}(H)| = sum over g in H of |C_k(Z_H(g))|.  The oracle represents
 each member set as an int bitmask, takes every centralizer as an AND with a
 commutation mask, and evaluates every k by one dynamic programme over the
-DAG of centralizers reachable from G.  The masks are conjugated along
-conjugacy classes, C(h.r.h^-1) = h.C(r).h^-1.  Each non-central class is
-found by the oracle's own orbit search under conjugation tables (|G|
-conjugations per generator, 4 list reads each, no product), and the
-centralizer of its representative r is closed at its known order
-|G| / |class(r)| by `groups.close_subgroup`: two products for each element
-tested against r, and none tested once that order is reached.  Equal
-masks share one int.  The masks and the DAG are built once per group, on
+DAG of centralizers reachable from G.  Elements share centralizers, so
+one mask is packed per distinct centralizer and handed to every element
+that has it.  The classes are found by the oracle's own orbit pass under
+conjugation tables (`FiniteGroup.conjugation_table`, no product), which
+gives every class size.  The centralizer of a class representative r with
+no mask yet is closed at its known order |G| / |class(r)| by
+`groups.close_subgroup`: two products for each element tested against r,
+and none tested once that order is reached.  Its conjugates are then
+walked breadth-first under the tables, C(h.r.h^-1) = h.C(r).h^-1, one
+mask per conjugate, so a class whose centralizers an earlier walk reached
+closes nothing.  The masks and the DAG are built once per group, on
 its first oracle call, and the DAG is cached on it; later calls run only
 the dynamic programme.  It uses nothing from the conjugacy
 classes or the branching matrix it checks.  Everything is exact:
@@ -141,12 +144,13 @@ def oracle_class_counts(group: FiniteGroup, dmax: int, cap: int = ORACLE_CAP) ->
 
     c(d) = |C_{d+1}(G)| / |G| for every d from one pass of
     `_commuting_tuple_totals`.  The group's first oracle call builds its
-    centralizer DAG: commutation masks conjugated along classes from one
-    centralizer closure per class (`_commutation_masks`), plus one bitmask
-    AND per (node, member).  Every later call on the group runs only the
-    dynamic programme.  Refuses dmax < 1, then groups above `cap` (default
-    ORACLE_CAP).  Each distinct mask takes |G|/8 bytes; with an explicit
-    `cap`, groups of about 10^4 elements take seconds.
+    centralizer DAG: one commutation mask per distinct centralizer, from one
+    closure per conjugacy class of centralizers (`_commutation_masks`),
+    plus one bitmask AND per (node, member).  Every later call on the group
+    runs only the dynamic programme.  Refuses dmax < 1, then a `cap` that
+    is not an int >= 1, then groups above `cap` (default ORACLE_CAP).  Each
+    distinct mask takes |G|/8 bytes; with an explicit `cap`, the DAG is the
+    cost of a first call on groups of about 10^4 elements.
     """
     require_int(dmax, 1)
     counts = []
@@ -179,8 +183,10 @@ def _commuting_tuple_totals(group: FiniteGroup, kmax: int, cap: int) -> list[int
     One pass per k over the group's centralizer DAG gives
     f_k(M) = sum of mult * f_{k-1}(child) from f_1(M) = |M|; the DAG is
     built on the group's first oracle call and reused after it.  The one
-    cap check of the oracle: a group above `cap` is refused before its DAG.
+    cap check of the oracle: a `cap` that is not an int >= 1 is refused,
+    then a group above `cap`, before its DAG.
     """
+    require_int(cap, 1, "cap")
     if group.order > cap:
         raise CapExceededError(f"group of order {group.order} exceeds oracle cap {cap}")
     sizes, children = _centralizer_dag(group)
@@ -195,48 +201,73 @@ def _commuting_tuple_totals(group: FiniteGroup, kmax: int, cap: int) -> list[int
 def _commutation_masks(group: FiniteGroup) -> list[int]:
     """comm[g], the bitmask of the elements commuting with g, for every g.
 
-    C(h.r.h^-1) = h.C(r).h^-1, so one centralizer is closed per conjugacy
-    class, not per element.  Conjugation by each generator is tabulated as
-    a permutation of the indices, |G| calls of `conj` per generator and no
-    product (4 list reads a call for a one-letter seed).  An element that
-    every permutation fixes is central.  Each other class is the orbit of
-    its first element r, so |C(r)| = |G| / |class| (orbit-stabilizer), and
-    `close_subgroup` stops there, closing over the centre, r, then the
-    elements found to commute with r (two products a test) by index.  Each
-    other element's member list is its parent's pushed through the
-    permutation that reached it; its mask is built at once, and equal masks
-    share one int.  Only `mul`, `conj` and `generators` are used.
+    Elements share centralizers, so one mask is packed per distinct
+    centralizer, not per element.  Conjugation by each generator is a
+    permutation of the indices (`FiniteGroup.conjugation_table`, no
+    product).  One orbit pass under the permutations gives every class
+    size; an element of a class of size 1 is central and gets the full
+    mask.  For a class representative r with no mask yet, |C(r)| =
+    |G| / |class(r)| (orbit-stabilizer), and `close_subgroup` stops there,
+    closing over the centre, r, then the elements found to commute with r
+    (two products a test).  S (`same`), the members w of C(r) with
+    |class(w)| = |class(r)| that commute with its closure generators, is
+    exactly the w with C(w) = C(r).  A breadth-first walk then takes the
+    conjugates of C(r): a permutation p maps a node (members, S) to
+    (p[members], p[S]), a node whose first S element already has a mask is
+    skipped, and each new node packs one mask and gives that int to all of
+    its S.  So a class whose elements got masks from an earlier walk
+    closes nothing.
+    Only `mul`, `conj`, `conjugation_table` and `generators` are used.
     """
     n, mul, conj = group.order, group.mul, group.conj
-    perms = [[conj(s, x) for x in range(n)] for s in group.generators]
+    perms = [group.conjugation_table(s) for s in group.generators]
+    class_of, sizes, reps = [-1] * n, [], []
+    for x in range(n):
+        if class_of[x] < 0:
+            k = class_of[x] = len(sizes)
+            orbit = [x]
+            for y in orbit:  # also visits the class elements appended below
+                for p in perms:
+                    z = p[y]
+                    if class_of[z] < 0:
+                        class_of[z] = k
+                        orbit.append(z)
+            sizes.append(len(orbit))
+            reps.append(x)
+    size = [sizes[k] for k in class_of]
     full = (1 << n) - 1
-    comm = [full if all(p[x] == x for p in perms) else None for x in range(n)]
-    central = [x for x in range(n) if comm[x]]
-    noncentral = [x for x in range(n) if not comm[x]]
-    shared: dict[int, int] = {}
-    for r in noncentral:
+    comm = [full if s == 1 else None for s in size]
+    central = [x for x in range(n) if size[x] == 1]
+    noncentral = [x for x in range(n) if size[x] > 1]
+
+    def node(members, same):
+        """The node, once its mask is packed and given to all of `same`."""
+        mask = _bitmask(members, n)
+        for w in same:
+            comm[w] = mask
+        return members, same
+
+    for r in reps:
         if comm[r] is not None:
             continue
-        tree = {r: None}  # class element -> (permutation, parent) that reached it
-        orbit = [r]
-        for y in orbit:  # also visits the class elements appended below
-            for p in perms:
-                z = p[y]
-                if z not in tree:
-                    tree[z] = (p, y)
-                    orbit.append(z)
         commuting = (x for x in noncentral if mul(x, r) == mul(r, x))
-        members = {r: close_subgroup(mul, chain(central, [r], commuting), n // len(orbit))[0]}
-        for z in orbit:
-            if z != r:
-                p, y = tree[z]
-                members[z] = [p[m] for m in members[y]]
-            bits = bytearray((n + 7) // 8)
-            for m in members[z]:
-                bits[m >> 3] |= 1 << (m & 7)
-            mask = int.from_bytes(bits, "little")
-            comm[z] = shared.setdefault(mask, mask)
+        members, gens = close_subgroup(mul, chain(central, [r], commuting), n // size[r])
+        same = [w for w in members if size[w] == size[r] and all(conj(s, w) == w for s in gens)]
+        nodes = [node(members, same)]
+        for members, same in nodes:  # also visits the conjugates appended below
+            for p in perms:
+                if comm[p[same[0]]] is None:
+                    image = p.__getitem__
+                    nodes.append(node(list(map(image, members)), list(map(image, same))))
     return comm
+
+
+def _bitmask(members, n: int) -> int:
+    """The n-bit int with bit m set for each m in `members`."""
+    bits = bytearray((n + 7) // 8)
+    for m in members:
+        bits[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(bits, "little")
 
 
 def _centralizer_dag(group: FiniteGroup) -> tuple[tuple[int, ...], tuple]:

@@ -44,6 +44,8 @@ product after the closure costs a carrier product or a field operation.
 A conjugation uses g * x * g^-1 = g * (g * x^-1)^-1 (`FiniteGroup.conj`):
 it replays only the conjugator's word, twice, around two reads of the
 inverse table, 2 * |word(g)| + 2 list reads in all, or 4 when g is a seed.
+`FiniteGroup.conjugation_table(g)` conjugates every element by g at once,
+composing those same steps as whole lists.
 
 Every subgroup carries a generating set, and the scans over a subgroup
 (commutation, conjugation, closure) run over its generators rather than
@@ -366,6 +368,17 @@ class FiniteGroup:
         for act in word:
             x = act[x]
         return x
+
+    def conjugation_table(self, g: int) -> list[int]:
+        """[conj(g, x) for x in range(order)], composed as whole lists: the
+        inverse table, g's word, the inverse table and g's word again, one
+        `list(map(...))` pass each, in place of |G| `conj` calls."""
+        inv, word = self._inv_table, self._words[g]
+        table = inv
+        for step in (word, (inv,), word):
+            for act in step:
+                table = list(map(act.__getitem__, table))
+        return table
 
     def commute(self, i: int, j: int) -> bool:
         return self.mul(i, j) == self.mul(j, i)

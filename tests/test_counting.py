@@ -343,6 +343,51 @@ def test_commutation_masks_match_the_pair_loop(corpus, large_groups):
         assert counting._commutation_masks(group) == reference_masks(group), name
 
 
+def centralizer_types(group, comm):
+    """The number of orbits of G, acting by conjugation, on the distinct
+    centralizers of non-central elements, from their masks."""
+    n = group.order
+    masks = set(comm) - {(1 << n) - 1}
+    types = 0
+    while masks:
+        orbit = [masks.pop()]
+        for mask in orbit:  # also visits the conjugates appended below
+            for s in group.generators:
+                image = sum(1 << group.conj(s, x) for x in range(n) if mask >> x & 1)
+                if image in masks:
+                    masks.remove(image)
+                    orbit.append(image)
+        types += 1
+    return types
+
+
+@pytest.mark.parametrize("make", [lambda: gl2(7), lambda: sl2(13)], ids=["GL2(F7)", "SL2(F13)"])
+def test_commutation_masks_pack_one_mask_per_centralizer(monkeypatch, make):
+    # one packed mask per distinct centralizer, and one closure per
+    # conjugacy class of centralizers, fewer than the non-central classes;
+    # a mask per element and a closure per class made 2,010 packs and 42
+    # closures on GL2(F7), 2,182 and 15 on SL2(F13); here 3 closures each
+    group = make()  # fresh: nothing cached on it
+    packs, closures = [], []
+    bitmask, close = counting._bitmask, counting.close_subgroup
+
+    def counted_pack(members, n):
+        packs.append(1)
+        return bitmask(members, n)
+
+    def counted_close(*args):
+        closures.append(1)
+        return close(*args)
+
+    monkeypatch.setattr(counting, "_bitmask", counted_pack)
+    monkeypatch.setattr(counting, "close_subgroup", counted_close)
+    comm = counting._commutation_masks(group)
+    monkeypatch.undo()
+    assert len(packs) == len(set(comm)) - 1
+    noncentral_classes = conjugacy_classes(group).count - comm.count(comm[0])
+    assert len(closures) == centralizer_types(group, comm) < noncentral_classes
+
+
 @pytest.mark.parametrize(
     "make,cap",
     [(lambda: gl2(5), 500), (lambda: group_generate(symmetric_group(6)), 720)],
@@ -397,6 +442,13 @@ def test_oracle_above_the_old_reach(large_groups):
     assert oracle_class_counts(s7, 3, cap=5040) == class_count_sequence(s7, 3)[1:]
     gl3_f3 = group_generate(gl3_generators(3), name="GL3(F3)")  # 11232 elements
     assert oracle_class_counts(gl3_f3, 3, cap=11232) == class_count_sequence(gl3_f3, 3)[1:]
+
+
+def test_oracle_on_gl2_f11():
+    group = gl2(11)  # 13,200 elements
+    rows = oracle_class_counts(group, 6, cap=13200)
+    assert rows[:3] == [120, 13400, 1497000]
+    assert rows == class_count_sequence(group, 6)[1:]
 
 
 def test_oracle_on_s7_without_classes_or_matrix(large_groups, monkeypatch):
@@ -471,7 +523,8 @@ def test_oracle_cap(corpus):
     ids=["oracle_class_counts", "oracle_class_count", "commuting_tuple_total"],
 )
 def test_every_oracle_entry_point_refuses_alike(oracle, at_one):
-    # d < 1 is refused first, then a group above the cap, before its DAG
+    # d < 1 is refused first, then a bad cap, then a group above the cap,
+    # all before the group's DAG
     assert inspect.signature(oracle).parameters["cap"].default == ORACLE_CAP == 500
     s6 = group_generate(symmetric_group(6), name="S6")
     with pytest.raises(ValueError, match=r"^d must be >= 1$"):
@@ -480,6 +533,12 @@ def test_every_oracle_entry_point_refuses_alike(oracle, at_one):
         oracle(s6, 2)
     with pytest.raises(CapExceededError, match=r"^group of order 720 exceeds oracle cap 719$"):
         oracle(s6, 2, cap=719)
+    # a bad cap is a ValueError naming it, not a TypeError from a
+    # comparison, and True is not taken as 1
+    for cap, message in ((None, "an int, got None"), ("500", "an int, got '500'"),
+                         (True, "an int, got True"), (0, ">= 1")):
+        with pytest.raises(ValueError, match=f"^cap must be {message}$"):
+            oracle(s6, 2, cap=cap)
     assert s6._centralizer_dag is None
     assert oracle(s6, 1, cap=720) == at_one  # S6 has 11 classes
 

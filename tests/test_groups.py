@@ -196,6 +196,17 @@ def test_conjugation_scans_make_no_product(monkeypatch, name):
     assert group.mul(0, 0) == 0 and calls == [(0, 0)]  # the counter is live
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_conjugation_table_matches_conj(name):
+    # every generator, and the element with the longest word, which no seed is
+    group = corpus_group(name)
+    n, conj = group.order, group.conj
+    deepest = max(range(n), key=lambda x: len(group._words[x]))
+    assert len(group._words[deepest]) > 1
+    for g in (*group.generators, deepest):
+        assert group.conjugation_table(g) == [conj(g, x) for x in range(n)], g
+
+
 def test_extension_field_matrix_group():
     f4 = field_create(2, 2, (1, 1, 1))
     # multiplicative group of F4 embedded as scalar matrices: order 3
