@@ -7,8 +7,8 @@ classes of H = centralizer(tau) lie in z-classes of H whose centralizer has
 type a.  The construction walks a worklist: start from the type of the
 identity (centralizer G), compute the z-classes of each centralizer,
 register newly seen centralizer types, and stop once every type has been
-processed; abelian centralizers close the recursion since their single
-z-class points back at themselves.
+processed.  Every type, abelian or not, follows this one rule; abelian
+centralizers close the recursion since their one z-class is the central one.
 
 Construction is sequential per group (type ids depend on discovery order);
 finished matrices and registries are read-only and freely shareable.
@@ -125,12 +125,12 @@ class BranchingMatrix:
 def branching_matrix(group: FiniteGroup) -> tuple[BranchingMatrix, TypeRegistry]:
     """Construct the branching matrix and type registry of a finite group.
 
-    Types are processed in registration order.  For a type tau with
-    centralizer H, the z-classes of H are computed with centralizers and
-    conjugacy inside H; each z-class contributes its class count to the
-    entry at (G-type of its centralizer, tau).  Two z-classes of H whose
-    centralizers are conjugate in G but not in H land in the same entry and
-    their counts add up.  The result is cached on the group.
+    Every type tau, in registration order, takes the z-classes of its
+    centralizer H (centralizers and conjugacy inside H); each adds its class
+    count at (G-type of its centralizer, tau).  The first, central z-class
+    has centralizer H, so it counts at (tau, tau) with no registry lookup.
+    z-classes whose centralizers are conjugate in G but not in H share an
+    entry and their counts add up.  The result is cached on the group.
     """
     if group._branching is not None:
         return group._branching
@@ -139,12 +139,9 @@ def branching_matrix(group: FiniteGroup) -> tuple[BranchingMatrix, TypeRegistry]
     pos = 0
     while pos < len(registry):
         entry = registry.types[pos]
-        h = entry.centralizer
-        if h.is_abelian:
-            data[(pos, pos)] = h.order
-            pos += 1
-            continue
-        for zc in z_classes(group, h):
+        central, *others = z_classes(group, entry.centralizer)
+        data[(pos, pos)] = len(central.class_ids)
+        for zc in others:
             tid, _ = registry.lookup_or_register(
                 zc.centralizer, entry.representative + (zc.representative,)
             )

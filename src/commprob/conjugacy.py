@@ -56,8 +56,7 @@ orbit length is known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import NotCommutingError
 from .groups import FiniteGroup, Subgroup, center, close_subgroup, subgroup_or_whole
@@ -75,16 +74,14 @@ class ConjugacyClass:
 
 @dataclass(frozen=True)
 class ClassPartition:
+    """Classes by least member; `class_of` maps member -> class index."""
+
     classes: tuple[ConjugacyClass, ...]
+    class_of: dict[int, int] = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
         return len(self.classes)
-
-    @cached_property
-    def class_of(self) -> dict[int, int]:
-        """Member -> index of its class, built on first use."""
-        return {m: cid for cid, cls in enumerate(self.classes) for m in cls.members}
 
 
 @dataclass(frozen=True)
@@ -170,28 +167,29 @@ def conjugacy_classes(group: FiniteGroup, within: Subgroup | None = None) -> Cla
 
     With `within` given, the subgroup acts on itself; class members are
     still parent-group indices.  Members are visited in increasing order,
-    and each one not yet placed starts the orbit search of its class.  The
-    partition is computed once per subgroup and cached on it.
+    and each one not yet placed starts the orbit search of its class, which
+    fills `class_of` as it goes.  The partition is computed once per
+    subgroup and cached on it.
     """
     h = subgroup_or_whole(group, within)
     if h._classes is not None:
         return h._classes
     conj, gens = group.conj, h.generators
-    seen: set[int] = set()
+    class_of: dict[int, int] = {}
     classes = []
     for x in h.members:
-        if x in seen:
+        if x in class_of:
             continue
-        orbit, reached = [x], {x}
+        cid = class_of[x] = len(classes)
+        orbit = [x]
         for y in orbit:  # also visits the points appended below
             for s in gens:
                 z = conj(s, y)
-                if z not in reached:
-                    reached.add(z)
+                if z not in class_of:
+                    class_of[z] = cid
                     orbit.append(z)
-        seen |= reached
         classes.append(ConjugacyClass(x, tuple(sorted(orbit))))
-    h._classes = ClassPartition(tuple(classes))
+    h._classes = ClassPartition(tuple(classes), class_of)
     return h._classes
 
 

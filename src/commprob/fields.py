@@ -26,6 +26,11 @@ MAX_FIELD_ORDER = 2**20
 MAX_TRIAL_DIVISION = 2**40
 
 
+def is_int(x) -> bool:
+    """An int but not a bool, which json.loads gives for true and false."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _smallest_factor(n: int) -> int:
     """Least prime factor of n >= 2, by trial division up to sqrt(n).
 
@@ -238,7 +243,7 @@ def field_create(p: int, k: int, modulus=None) -> Field:
     required; it is checked irreducible by exhaustive trial division,
     which is fast for the intended range p^k <= MAX_FIELD_ORDER (2**20).
     """
-    if not (isinstance(p, int) and isinstance(k, int)):
+    if not (is_int(p) and is_int(k)):
         raise ValueError(f"p and k must be ints, got {p!r} and {k!r}")
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
@@ -250,7 +255,7 @@ def field_create(p: int, k: int, modulus=None) -> Field:
         return Field(p, 1, None)
     if modulus is None:
         raise ValueError("extension fields require an explicit modulus")
-    if not all(isinstance(c, int) for c in modulus):
+    if not all(map(is_int, modulus)):
         raise ValueError(f"modulus coefficients must be ints, got {list(modulus)}")
     mod = tuple(c % p for c in modulus)
     if len(mod) != k + 1:

@@ -64,7 +64,7 @@ from itertools import chain
 from operator import methodcaller
 
 from .errors import CapExceededError, ElementNotInGroupError, MixedCarriersError, PreconditionError
-from .fields import Field
+from .fields import Field, is_int
 
 class MatrixCarrier:
     """n-by-n invertible matrices over a finite field; the letters of a
@@ -161,6 +161,7 @@ def _digits(code: int, q: int, n: int) -> list[int]:
 
 
 BYTE_LETTERS = 256  # closure keys are bytes when every letter is below this
+CLOSURE_CAP = 20000  # the default largest order a closure may reach
 
 
 def _seed_actions(carrier, seeds, cap: int):
@@ -256,11 +257,6 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"GroupElement({self.carrier.describe(self.data)})"
-
-
-def is_int(x) -> bool:
-    """An int but not a bool, which json.loads gives for true and false."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def require_int(x, low: int, name: str = "d") -> None:
@@ -603,7 +599,7 @@ class Subgroup:
         return True
 
 
-def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -> FiniteGroup:
+def group_generate(gens: list[GroupElement], cap: int = CLOSURE_CAP, name: str = "") -> FiniteGroup:
     """Breadth-first closure of a generating set.
 
     The identity is discovered first; after that, elements appear in the
@@ -625,8 +621,7 @@ def group_generate(gens: list[GroupElement], cap: int = 20000, name: str = "") -
     """
     if not gens:
         raise ValueError("at least one generator is required")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    require_int(cap, 1, "cap")
     carrier = gens[0].carrier
     for g in gens[1:]:
         if g.carrier != carrier:

@@ -32,6 +32,7 @@ from itertools import chain
 from .errors import GroupSpecParseError, GroupSpecValidationError
 from .fields import MAX_FIELD_ORDER, Field, field_create, is_prime
 from .groups import (
+    CLOSURE_CAP,
     FiniteGroup,
     GroupElement,
     MatrixCarrier,
@@ -143,7 +144,7 @@ def parse_group_spec(document: str) -> GroupSpec:
     return GroupSpec(name, kind, field, degree, tuple(norm_gens))
 
 
-def build_group(spec: GroupSpec, cap: int = 20000) -> FiniteGroup:
+def build_group(spec: GroupSpec, cap: int = CLOSURE_CAP) -> FiniteGroup:
     """Generate the finite group described by a validated spec."""
     return group_generate(spec.generator_elements(), cap=cap, name=spec.name)
 

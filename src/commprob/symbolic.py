@@ -578,16 +578,16 @@ def diagonal_degree_interval(entries, l: int, r: int) -> DegreeInterval:
     in row i gives delta(i) <= delta(j) + 1 for some j < i, so
     delta <= l < m and the degree lands in [r - m, r].
 
-    Every entry must be an int.  The matrix is checked, and delta found
-    for every row by one breadth-first search, once per distinct matrix
-    (`_distances_from_first` keeps the last one): the calls for every
-    (l, r) of one matrix cost one validation and one search, then an
-    O(m^2) key each.  A matrix equal to the previous call's is answered
-    from that key, so an entry that equals an int without being one
-    (1.0) is refused only in a matrix not equal to the previous call's.
+    l, r and every entry must be ints, not bools.  The matrix is checked,
+    and delta found for every row by one breadth-first search, once per
+    distinct matrix (`_distances_from_first` keeps the last one): the calls
+    for every (l, r) of one matrix cost one validation and one search, then
+    an O(m^2) key each.  A matrix equal to the previous call's is answered
+    from that key, so an entry that equals an int without being one (1.0,
+    True) is refused only in a matrix not equal to the previous call's.
     """
     m = len(entries)
-    if not (isinstance(l, int) and isinstance(r, int)):
+    if not (is_int(l) and is_int(r)):
         raise PreconditionError(f"row and power must be ints, got {l!r} and {r!r}")
     if r < 2:
         raise PreconditionError("power r must be >= 2")
@@ -629,7 +629,7 @@ def _distances_from_first(rows) -> tuple[int | None, ...]:
         if len(row) != m:
             raise PreconditionError("matrix must be square")
         for j, x in enumerate(row):
-            if not isinstance(x, int):
+            if not is_int(x):
                 raise PreconditionError(f"entry ({i},{j}) must be an int, got {x!r}")
         if min(row) < 0:
             raise PreconditionError("entries must be non-negative")

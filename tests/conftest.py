@@ -102,10 +102,9 @@ def sl2(p):
     return group_generate([matrix_element(field, r) for r in rows], name=f"SL2(F{p})")
 
 
-@pytest.fixture(scope="session")
-def large_groups():
+def build_large_groups():
     """S7, SL2(F13) and S5 x S4: 2184 to 5040 elements, above the
-    500-element oracle cap."""
+    500-element oracle cap; built afresh on every call."""
     return {
         "s7": group_generate(symmetric_group(7), name="S7"),
         "sl2_f13": sl2(13),
@@ -113,6 +112,11 @@ def large_groups():
             symmetric_group(5, 0, 9) + symmetric_group(4, 5, 9), name="S5xS4"
         ),
     }
+
+
+@pytest.fixture(scope="session")
+def large_groups():
+    return build_large_groups()
 
 
 def recording(candidates, tried):

@@ -7,9 +7,10 @@ from commprob.branching import BranchingMatrix, branching_matrix, verify_structu
 from commprob.conjugacy import centralizer, conjugacy_classes
 from commprob.counting import ORACLE_CAP, class_count, class_count_sequence
 from commprob.groups import center, group_generate, permutation_element, subgroup_or_whole
+from commprob.groupspec import corpus_group
 from commprob.symbolic import exact_walk, fixture, verify_symbolic_structure
 
-from conftest import gl2_generators, unitriangular
+from conftest import build_large_groups, gl2_generators, unitriangular
 from test_groups import conjugated_gl2_f3
 
 
@@ -39,6 +40,19 @@ def test_structure_checks_pass_on_corpus(corpus):
         matrix, registry = branching_matrix(group)
         report = verify_structure(matrix, registry)
         assert report.ok, (name, report.summary())
+
+
+def test_tampered_diagonal_fails_the_centre_order_check(corpus):
+    # one diagonal entry off by one: the check names that type first
+    matrix, registry = branching_matrix(corpus["s4"])
+    for tid in (0, registry.abelian_type_ids()[-1]):
+        bad = [list(r) for r in matrix.entries]
+        bad[tid][tid] += 1
+        check = named_check(
+            verify_structure(BranchingMatrix(bad), registry), "diagonal_is_center_order"
+        )
+        detail = f"diagonal at type {tid}: {bad[tid][tid]} != {matrix.entries[tid][tid]}"
+        assert (check.passed, check.detail) == (False, detail)
 
 
 def test_structure_check_fails_on_tampered_matrix(corpus):
@@ -220,9 +234,8 @@ def test_s4_has_deeper_type(corpus):
 
 
 def test_verify_reads_the_partitions_branching_made(corpus, large_groups, monkeypatch):
-    # branching_matrix partitions each non-abelian type in z_classes, and
-    # verify_structure reads those partitions.  An abelian type's column is
-    # closed without its classes, so verify partitions it, once.
+    # branching_matrix partitions every type, abelian or not, in z_classes,
+    # and verify_structure reads those partitions, making none of its own.
     # a call that finds no partition cached on its subgroup makes one
     partition = conjugacy.conjugacy_classes
     partitioned = []
@@ -238,13 +251,10 @@ def test_verify_reads_the_partitions_branching_made(corpus, large_groups, monkey
     for name, group in dict(corpus, s7=large_groups["s7"]).items():
         matrix, registry = branching_matrix(group)
         cents = [entry.centralizer for entry in registry.types]
-        partitioned.clear()
-        assert verify_structure(matrix, registry).ok, name
-        assert all(h.is_abelian and any(h is c for c in cents) for h in partitioned), name
-        assert len({id(h) for h in partitioned}) == len(partitioned), name
-        partitioned.clear()
-        assert verify_structure(matrix, registry).ok, name
-        assert partitioned == [], name
+        for _ in range(2):
+            partitioned.clear()
+            assert verify_structure(matrix, registry).ok, name
+            assert partitioned == [], name
         for h in cents:
             assert conjugacy_classes(group, within=h) is conjugacy_classes(group, within=h)
 
@@ -311,3 +321,46 @@ def test_unitriangular_groups_above_the_oracle_cap(n, p, beta):
     expected = [1, len(reps), pairs]
     assert class_count_sequence(group, 2) == expected
     assert [class_count(group, d) for d in (1, 2)] == expected[1:]
+
+
+def column_rule_calls(group, monkeypatch):
+    """branching_matrix on `group`, recording each `z_classes` call as
+    (subgroup, number of z-classes) and counting registry lookups."""
+    zcalls, lookups = [], []
+    z_classes, lookup = branching.z_classes, branching.TypeRegistry.lookup
+
+    def counted_z_classes(group, subgroup=None):
+        result = z_classes(group, subgroup)
+        zcalls.append((subgroup, len(result)))
+        return result
+
+    def counted_lookup(registry, subgroup):
+        lookups.append(subgroup)
+        return lookup(registry, subgroup)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(branching, "z_classes", counted_z_classes)
+        patched.setattr(branching.TypeRegistry, "lookup", counted_lookup)
+        _, registry = branching_matrix(group)
+    return registry, zcalls, lookups
+
+
+@pytest.mark.parametrize("name", ["s3", "q8", "s4", "gl2_f3", "gl3_f2"])
+def test_every_type_takes_its_column_by_one_rule(name, monkeypatch):
+    # one z_classes call per type, abelian or not; its central z-class is
+    # the type's own and needs no lookup, and each other z-class one
+    registry, zcalls, lookups = column_rule_calls(corpus_group(name), monkeypatch)
+    assert len(zcalls) == len(registry)
+    assert all(h is entry.centralizer for (h, _), entry in zip(zcalls, registry.types))
+    assert len(lookups) == sum(n - 1 for _, n in zcalls)
+
+
+def test_column_rule_counts_on_groups_above_the_table_limit(monkeypatch):
+    # S7, SL2(F13) and S5 x S4 together: 73 types and 240 non-central
+    # z-classes, so 73 z_classes calls and 240 lookups
+    zcalls, lookups = 0, 0
+    for group in build_large_groups().values():
+        registry, calls, looked = column_rule_calls(group, monkeypatch)
+        assert len(calls) == len(registry)
+        zcalls, lookups = zcalls + len(calls), lookups + len(looked)
+    assert (zcalls, lookups) == (73, 240)

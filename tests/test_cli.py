@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,8 +13,9 @@ import pytest
 import commprob
 
 from commprob import cli
-from commprob.branching import branching_matrix
+from commprob.branching import BranchingMatrix, branching_matrix
 from commprob.cli import run
+from commprob.symbolic import fixture
 
 
 def invoke(capsys, *argv):
@@ -487,3 +489,54 @@ def test_cpd_largest_printed_integer_within_the_digit_limit(tmp_path, capsys):
     last = target.read_text().splitlines()[-1].split(",")
     assert last[0] == "5000"
     assert last[3] == str(Fraction(3**4999 + 2**5000 - 1, 2 * 6**4999))
+
+
+# --- exit code 1: a check failed -------------------------------------------
+
+
+def test_branching_with_a_failing_structure_report_exits_1(capsys, monkeypatch):
+    # the data is still printed; the failed checks go to stderr
+    def tampered(group):
+        matrix, registry = branching_matrix(group)
+        bad = [list(row) for row in matrix.entries]
+        bad[0][0] += 1  # the corner is |Z(S3)| = 1
+        return BranchingMatrix(bad), registry
+
+    monkeypatch.setattr(cli, "branching_matrix", tampered)
+    code, out, err = invoke(capsys, "branching", "s3")
+    assert code == 1
+    assert out.splitlines()[:2] == ["matrix,t0,t1,t2", "t0,2,0,0"]
+    (line,) = [line for line in err.splitlines() if "failed" in line]
+    assert line.startswith("structure checks failed: diagonal_is_center_order=FAIL(")
+    assert "diagonal at type 0: 2 != 1" in line
+
+
+def test_cpd_with_a_disagreeing_oracle_exits_1(capsys, monkeypatch):
+    oracle = cli.oracle_class_counts
+
+    def off_by_one_at_d2(group, dmax):
+        counts = oracle(group, dmax)
+        return [counts[0], counts[1] + 1, *counts[2:]]
+
+    monkeypatch.setattr(cli, "oracle_class_counts", off_by_one_at_d2)
+    code, out, err = invoke(capsys, "cpd", "s3", "--d", "3", "--oracle")
+    assert code == 1
+    assert out.strip().splitlines()[1:] == [
+        "1,3,6,1,3,MATCH",
+        "2,8,18,1/2,9,MISMATCH",
+        "3,21,48,2/9,21,MATCH",
+    ]
+    assert "oracle disagreement detected" in err.splitlines()
+
+
+def test_symbolic_with_a_failing_structure_check_exits_1(capsys, monkeypatch):
+    # gl2 with no abelian row: alpha has no abelian diagonal to sit on, but
+    # the degree windows, which read only the grid, still hold
+    gl2 = fixture("gl2")
+    monkeypatch.setattr(cli, "fixture", lambda name: replace(gl2, abelian=(False,) * gl2.size))
+    code, out, err = invoke(capsys, "symbolic", "--fixture", "gl2", "--d", "10")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert "structure,fail" in lines
+    assert lines[-1] == "10,20,1/2,3/5,7/20,3/5"  # as for the real gl2
+    assert "symbolic checks failed" in err.splitlines()

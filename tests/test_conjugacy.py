@@ -532,9 +532,9 @@ def test_whole_group_classes_computed_once(monkeypatch, name):
     made = []
     partition = conjugacy.ClassPartition
 
-    def counted(classes):
+    def counted(classes, class_of):
         made.append(sum(len(c.members) for c in classes))
-        return partition(classes)
+        return partition(classes, class_of)
 
     monkeypatch.setattr(conjugacy, "ClassPartition", counted)
     matrix, registry = branching_matrix(group)

@@ -62,6 +62,9 @@ def test_modulus_shape_validation():
         ((2.0, 1), "p and k must be ints"),
         ((3, 2.0, (1, 0, 1)), "p and k must be ints"),
         ((2, 2, (1.9, 1, 1)), "modulus coefficients must be ints"),
+        ((2, True), "p and k must be ints"),  # would build F_2
+        ((True, 1), "p and k must be ints"),
+        ((2, 2, (1, True, 1)), "modulus coefficients must be ints"),  # x^2 + x + 1
     ],
 )
 def test_field_create_refuses_non_int_arguments(args, message):

@@ -572,6 +572,16 @@ def test_closure_keys_do_not_change_the_recorded_actions():
     assert (unipotent_f17.order, type(unipotent_f17.elements[0])) == (17, bytes)
 
 
+@pytest.mark.parametrize("cap", [True, 2.5, "5", None, 0])
+def test_closure_entry_points_refuse_a_non_int_cap(cap):
+    # True and 2.5 were taken as caps, and "5" and None let a TypeError out
+    gens = [permutation_element([1, 2, 3, 0])]
+    with pytest.raises(ValueError, match="cap must be"):
+        group_generate(gens, cap=cap)
+    with pytest.raises(ValueError, match="cap must be"):
+        build_group(corpus_spec("s3"), cap=cap)
+
+
 def test_matrix_closure_cap_is_exact():
     spec = corpus_spec("gl2_f3")
     with pytest.raises(CapExceededError):

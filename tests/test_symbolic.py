@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -598,18 +599,31 @@ def test_diagonal_degree_interval_preconditions():
         diagonal_degree_interval([[1]], 0, 1)  # r too small
     with pytest.raises(PreconditionError):
         diagonal_degree_interval([[1, 0], [1, 1]], 5, 3)  # row out of range
+    for entries in ([[1, 0], [1, 1, 0]], [[1, 0, 0], [1, 1]]):
+        with pytest.raises(PreconditionError, match="matrix must be square"):
+            diagonal_degree_interval(entries, 1, 3)
+    with pytest.raises(PreconditionError, match="entries must be non-negative"):
+        diagonal_degree_interval([[1, 0], [-1, 1]], 1, 3)
+
+
+def test_verify_symbolic_structure_refuses_metadata_that_misses_a_row():
+    gl2 = fixture("gl2")
+    for short in (replace(gl2, depths=gl2.depths[:-1]), replace(gl2, abelian=gl2.abelian[:1])):
+        with pytest.raises(PreconditionError, match="metadata must label every row"):
+            verify_symbolic_structure(short)
 
 
 def test_diagonal_degree_interval_refuses_non_int_row_or_power():
     entries = [[1, 0], [1, 1]]
-    for l, r in ((1, 2.5), (1.0, 3)):
+    for l, r in ((1, 2.5), (1.0, 3), (True, 3), (1, True)):
         with pytest.raises(PreconditionError, match="row and power must be ints"):
             diagonal_degree_interval(entries, l, r)
 
 
 def test_diagonal_degree_interval_refuses_non_int_entries():
     symbolic._distances_from_first.cache_clear()  # 1.0 == 1 would hit a cached int matrix
-    for entries in ([[1, 0], [0.5, 1]], [[1, 0], [1, 1.0]], [[1, 0], [[1], 1]]):
+    bad_rows = ([0.5, 1], [1, 1.0], [[1], 1], [True, 1])
+    for entries in ([[1, 0], row] for row in bad_rows):
         with pytest.raises(PreconditionError, match=r"entry \(1,[01]\) must be an int"):
             diagonal_degree_interval(entries, 1, 3)
 
