@@ -29,12 +29,12 @@ Handbook of Computational Group Theory, section 4.1):
   generators come in the same order either way, so the closure draws the
   same prefix and the stabilizer has the same generators.
 - The centre test places classes in z-classes with no transporter search.
-  For x and y in H, C_H(x) and C_H(y) are H-conjugate exactly when
-  |class(x)| = |class(y)| and class(y) meets Z(C_H(x)).  If
-  C_H(y) = g C_H(x) g^-1, then g^-1 y g lies in Z(C_H(x)).  Conversely, a
-  y' of class(y) in Z(C_H(x)) has C_H(x) inside C_H(y'), and the two
-  orders agree by orbit-stabilizer.  An abelian C_H(x) is its own centre, so
-  its centre is read off its members with no filter.
+  For x in H and y in C = C_H(x), C_H(y) = C exactly when |class(y)| =
+  |class(x)| and y commutes with C's generators: y is then central in C,
+  so C lies in C_H(y), and the two orders agree by orbit-stabilizer.  And
+  C_H(x) and C_H(y) are H-conjugate, g C_H(x) g^-1 = C_H(y), exactly when
+  g^-1 y g is such a member of C.  So the classes of x's z-class are the
+  classes of those members, and x's z-class claims them all at once.
 - A transporter candidate g maps A onto B when |A| = |B| and g a g^-1 lies
   in B for each generator a of A, since g A g^-1 is then a subgroup of B
   of the same order.  The type registry of `branching` searches the whole
@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotCommutingError
-from .groups import FiniteGroup, Subgroup, center, close_subgroup, subgroup_or_whole
+from .groups import FiniteGroup, Subgroup, close_subgroup, subgroup_or_whole
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ class ClassPartition:
 class ZClass:
     """Conjugacy classes sharing a conjugate centralizer; `representative`
     is the representative of the first of them, whose centralizer is kept.
-    The other classes join by the centre test, so no centralizer is made
-    for them."""
+    The first class claims the others by the centre test, so no centralizer
+    is made for them."""
 
     class_ids: tuple[int, ...]
     centralizer: Subgroup
@@ -222,48 +222,33 @@ def subgroup_conjugate(
 def z_classes(group: FiniteGroup, subgroup: Subgroup | None = None) -> list[ZClass]:
     """z-classes of a subgroup, with centralizers and conjugacy taken inside it.
 
-    Classes are placed in partition order.  A class joins the first z-class
-    whose centralizer C has |C| * |class| = |H| and whose centre meets the
-    class (the centre test of the module docstring); otherwise it opens a
-    new z-class, and only then is its centralizer computed.  A z-class's
-    centre is computed once, when a class of matching size first asks, and
-    kept as the ids of the classes it meets.  The identity's class opens the
-    first z-class, whose centralizer is H; a later class of size 1 lies in
-    Z(H) and joins it with no centre computed.  The returned list starts with
-    the z-class of the central elements (the one whose centralizer is the
-    subgroup itself) and continues in order of minimal class
-    representative, so the output is deterministic.
+    One claiming pass in partition order.  The classes of size 1 form the
+    first z-class, the central one, whose centralizer is H itself.  Each
+    later class not yet placed opens a z-class: its representative x gets
+    its centralizer C, and the z-class claims at once the class of every
+    member y of C with |class(y)| = |class(x)| that commutes with C's
+    generators, since exactly those y have C_H(y) = C (the centre test of
+    the module docstring).  A claimed class is marked placed, and no member
+    of a placed class can pass the test again, so the size filter skips
+    them.  The list continues in order of minimal class representative,
+    each z-class with its class ids in increasing order, so the output is
+    deterministic.
     """
     h = subgroup_or_whole(group, subgroup)
     partition = conjugacy_classes(group, within=h)
-    grouped: list[list[int]] = []
-    cents: list[Subgroup] = []
-    centres: list[set[int] | None] = []  # class ids meeting Z(cent), made on first use
-    # class size -> the z-classes its classes opened, in order; |cent| is
-    # |H| over the opening class's size, so these are the z-classes whose
-    # centralizer order times that size is |H|
-    opened: dict[int, list[int]] = {}
-    for cid, cls in enumerate(partition.classes):
-        size = len(cls.members)
-        if cid and size == 1:  # a central class: it lies in Z(H)
-            grouped[0].append(cid)
+    class_of, conj = partition.class_of, group.conj
+    unplaced = [cls.size for cls in partition.classes]  # class id -> size, 0 once placed
+    central = tuple(cid for cid, size in enumerate(unplaced) if size == 1)
+    out = [ZClass(central, h, partition.classes[0].representative)]
+    for cls, size in zip(partition.classes, unplaced):  # sees the zeros written below
+        if size < 2:  # placed, or central
             continue
-        for gid in opened.get(size, ()):
-            if centres[gid] is None:
-                class_of, cent = partition.class_of, cents[gid]
-                # an abelian centralizer is its own centre
-                centre = cent if cent.is_abelian else center(group, within=cent)
-                centres[gid] = {class_of[z] for z in centre.members}
-            if cid in centres[gid]:
-                grouped[gid].append(cid)
-                break
-        else:
-            opened.setdefault(size, []).append(len(grouped))
-            grouped.append([cid])
-            cents.append(centralizer(group, (cls.representative,), within=h))
-            centres.append(None)
-    # class 0 is the identity's class, so grouped[0] is the central z-class
-    return [
-        ZClass(tuple(ids), cent, partition.classes[ids[0]].representative)
-        for ids, cent in zip(grouped, cents)
-    ]
+        cent = centralizer(group, (cls.representative,), within=h)
+        same = [y for y in cent.members if unplaced[class_of[y]] == size]
+        for s in cent.generators:
+            same = [y for y in same if conj(s, y) == y]
+        ids = sorted({class_of[y] for y in same})
+        for i in ids:
+            unplaced[i] = 0
+        out.append(ZClass(tuple(ids), cent, cls.representative))
+    return out

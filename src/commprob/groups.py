@@ -168,32 +168,36 @@ def _seed_actions(carrier, seeds, cap: int):
     """(key type, [x -> s * x on keys for each seed s]): the one decision
     between byte and tuple keys.
 
-    The orbit of the identity's letters under the seeds holds every letter
+    The orbits of the identity's letters under the seeds hold every letter
     of every element: all points for permutations, and for a matrix g,
-    column j of g is g times basis column j.  Each seed's image of each
-    letter met is recorded once.  Keys are bytes when every letter met is
-    below BYTE_LETTERS, and a seed then acts by one `bytes.translate`
-    (identity off the orbit); else keys are tuples and a seed maps each
-    letter through its recorded images.
+    column j of g is g times basis column j.  Each identity letter's orbit
+    is walked on its own, skipping letters an earlier orbit already met,
+    and each seed's image of each letter met is recorded once.  Keys are
+    bytes when every letter met is below BYTE_LETTERS, and a seed then acts
+    by one `bytes.translate` (identity off the orbits); else keys are
+    tuples and a seed maps each letter through its recorded images.
 
-    Each element has as many letters as the identity, so an orbit of more
-    than that many times `cap` letters proves the group larger than `cap`:
-    CapExceededError is raised then, before the rest of the orbit is walked.
+    The group acts on each orbit, so by orbit-stabilizer an orbit of more
+    than `cap` letters proves the group larger than `cap`: CapExceededError
+    is raised then, before the rest of the orbit is walked.
     """
     images = [carrier.letter_image(s) for s in seeds]
     maps = [{} for _ in seeds]
-    orbit = list(carrier.letters(carrier.identity()))
-    most = len(orbit) * cap
-    seen = set(orbit)
-    for a in orbit:  # also visits the letters appended below
-        for image, m in zip(images, maps):
-            b = m[a] = image(a)
-            if b not in seen:
-                seen.add(b)
-                orbit.append(b)
-                if len(orbit) > most:
-                    raise CapExceededError(f"closure exceeded cap of {cap} elements")
-    if max(orbit, default=0) < BYTE_LETTERS:
+    seen = set()
+    for start in carrier.letters(carrier.identity()):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for a in orbit:  # also visits the letters appended below
+            for image, m in zip(images, maps):
+                b = m[a] = image(a)
+                if b not in seen:
+                    seen.add(b)
+                    orbit.append(b)
+                    if len(orbit) > cap:
+                        raise CapExceededError(f"closure exceeded cap of {cap} elements")
+    if max(seen, default=0) < BYTE_LETTERS:
         return bytes, [_translation(m.items()) for m in maps]
     return tuple, [lambda x, image=m.__getitem__: tuple(map(image, x)) for m in maps]
 

@@ -43,6 +43,9 @@ from .groups import (
 )
 
 
+MAX_SPEC_BYTES = 1 << 20  # the largest spec file `load_group_spec` reads
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A validated spec; `field` is the built field of a matrix spec, None
@@ -71,7 +74,7 @@ def parse_group_spec(document: str) -> GroupSpec:
     """Parse and validate a spec document, naming the offending field on error."""
     try:
         obj = json.loads(document)
-    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, deep nesting
         raise GroupSpecParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise GroupSpecParseError("top level must be a single object")
@@ -150,9 +153,15 @@ def build_group(spec: GroupSpec, cap: int = CLOSURE_CAP) -> FiniteGroup:
 
 
 def load_group_spec(path) -> GroupSpec:
+    """Read and parse a spec file of at most MAX_SPEC_BYTES bytes.  One byte
+    past the budget is read and no more, so an endless input such as
+    /dev/zero is refused rather than read until memory runs out."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_SPEC_BYTES + 1)
+        if len(data) > MAX_SPEC_BYTES:
+            raise GroupSpecParseError(f"{path} is larger than {MAX_SPEC_BYTES} bytes")
+        document = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise GroupSpecParseError(f"cannot read {path}: {reason}") from exc

@@ -15,6 +15,7 @@ import commprob
 from commprob import cli
 from commprob.branching import BranchingMatrix, branching_matrix
 from commprob.cli import run
+from commprob.groupspec import MAX_SPEC_BYTES
 from commprob.symbolic import fixture
 
 
@@ -181,6 +182,19 @@ def test_singular_generator_spec_exits_2(tmp_path, capsys):
     code, out, err = invoke(capsys, "classes", str(path))
     assert code == 2 and out == ""
     assert "generators[1]" in err and "singular" in err
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [("[" * 100_000, "not valid JSON"), (" " * MAX_SPEC_BYTES + "{}", "larger than")],
+    ids=["deep_nesting", "over_budget"],
+)
+def test_spec_file_refusals_exit_2_without_a_traceback(tmp_path, capsys, document, message):
+    path = tmp_path / "spec.json"
+    path.write_text(document)
+    code, out, err = invoke(capsys, "cpd", str(path), "--d", "2")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and message in err
 
 
 def test_cpd_oracle_refuses_an_over_cap_group_before_counting(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import functools
 import inspect
+import math
 import sys
 import time
 from fractions import Fraction
@@ -796,3 +798,86 @@ def test_counts_and_structure_above_both_caps(large_groups, name, k):
     assert class_count(group, 1) == k
     assert commuting_count(group, 2) == group.order * k
     assert verify_structure(*branching_matrix(group)).ok
+
+
+# Wreath products G wr S_n at every d, by the exponential formula
+# (J. Bryan and J. Fulman, Ann. Comb. 2, 1998; T. W. Mueller, Adv. Math.
+# 153, 2000):
+#     sum_n c_{G wr S_n}(d) u^n = exp(c_G(d) * sum_m a_m(Z^(d+1)) u^m / m),
+# with a_m(Z^k) the number of index-m subgroups of Z^k.  It uses neither the
+# branching matrix nor the oracle, only commuting tuples of the small base G.
+
+
+def index_subgroup_counts(k, nmax):
+    """{m: a_m(Z^k)} for m = 1..nmax, by a_m(Z^k) = sum over e | m of
+    e^(k-1) * a_{m/e}(Z^(k-1)), from a_m(Z^0) = [m = 1]."""
+    a = {m: int(m == 1) for m in range(1, nmax + 1)}
+    for j in range(1, k + 1):
+        a = {m: sum(e ** (j - 1) * a[m // e] for e in range(1, m + 1) if m % e == 0) for m in a}
+    return a
+
+
+def wreath_class_count(base_count, n, d):
+    """c_{G wr S_n}(d) from c_G(d), by n * f_n = sum_j a_j(Z^(d+1)) * c_G(d) * f_(n-j)."""
+    a = index_subgroup_counts(d + 1, n)
+    f = [1]
+    for size in range(1, n + 1):
+        total = sum(a[j] * base_count * f[size - j] for j in range(1, size + 1))
+        assert total % size == 0
+        f.append(total // size)
+    return f[n]
+
+
+def commuting_tuple_number(group, k):
+    """The number of commuting k-tuples of a small group, by recursion on the
+    common centralizer of the entries chosen so far."""
+
+    @functools.lru_cache(maxsize=None)
+    def count(members, k):
+        if k == 0:
+            return 1
+        return sum(
+            count(frozenset(y for y in members if group.commute(x, y)), k - 1) for x in members
+        )
+
+    return count(frozenset(range(group.order)), k)
+
+
+def wreath_generators(base, m, n):
+    """G wr S_n on n blocks of m points: G's generators (image arrays on
+    0..m-1) on block 0, and an n-cycle and a transposition of the blocks."""
+
+    def on_blocks(block_images):
+        return [block_images[p // m] * m + p % m for p in range(n * m)]
+
+    gens = [list(g) + list(range(m, n * m)) for g in base]
+    gens.append(on_blocks([(b + 1) % n for b in range(n)]))
+    gens.append(on_blocks([1, 0] + list(range(2, n))))
+    return [permutation_element(g) for g in gens]
+
+
+WREATHS = {  # name: (base generators on m points, m, n)
+    "S4": ([], 1, 4),
+    "S5": ([], 1, 5),
+    "S6": ([], 1, 6),
+    "S7": ([], 1, 7),
+    "C2wrS3": ([[1, 0]], 2, 3),
+    "C2wrS4": ([[1, 0]], 2, 4),
+    "C3wrS3": ([[1, 2, 0]], 3, 3),
+    "S3wrS2": ([[1, 0, 2], [1, 2, 0]], 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(WREATHS))
+def test_wreath_products_match_the_exponential_formula_at_every_d(name):
+    base_gens, m, n = WREATHS[name]
+    base = group_generate([permutation_element(g) for g in base_gens or [list(range(m))]])
+    wreath = group_generate(wreath_generators(base_gens, m, n))
+    assert wreath.order == base.order**n * math.factorial(n)
+    expected = [
+        wreath_class_count(commuting_tuple_number(base, d + 1) // base.order, n, d)
+        for d in range(9)
+    ]
+    assert [class_count(wreath, d) for d in range(9)] == expected
+    if wreath.order <= ORACLE_CAP:
+        assert oracle_class_counts(wreath, 8) == expected[1:]

@@ -589,26 +589,35 @@ def test_matrix_closure_cap_is_exact():
     assert build_group(spec, cap=48).order == 48
 
 
+GL16_F2 = (  # a transvection and the 16-cycle: every nonzero column of F2^16
+    [[int(r == c or (r, c) == (0, 1)) for c in range(16)] for r in range(16)],
+    [[int(r == (c + 1) % 16) for c in range(16)] for r in range(16)],
+)
+
+
 @pytest.mark.parametrize(
     "p, rows",
     [
         (65521, ([[1, 1], [0, 1]], [[1, 0], [1, 1]])),  # SL2, 65521^2 - 1 columns
         (101, ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])),
+        (2, GL16_F2),
     ],
-    ids=["sl2_f65521", "gl3_f101_subgroup"],
+    ids=["sl2_f65521", "gl3_f101_subgroup", "gl16_f2"],
 )
 def test_cap_refuses_a_large_matrix_alphabet_at_once(monkeypatch, p, rows):
-    # an orbit of more than n * cap columns proves the group larger than cap,
-    # so the letter images stop there rather than covering every column
-    cap, calls = 50, []
+    # by orbit-stabilizer, one basis column's orbit of more than cap columns
+    # proves the group larger than cap, so the letter images stop there
+    # rather than covering n * cap columns, or every column
+    cap, seeds, calls = 50, [], []
     letter_image = groups_module.MatrixCarrier.letter_image
 
     def counted(carrier, s):
+        seeds.append(s)
         image = letter_image(carrier, s)
 
         def count(code):
             calls.append(code)
-            if len(calls) > 4 * len(rows[0]) * cap:
+            if len(calls) > len(seeds) * (cap + 1):
                 raise AssertionError("the orbit walk went past the cap")
             return image(code)
 

@@ -300,6 +300,42 @@ def _determinant(rows, p):
     return total % p
 
 
+def test_deeply_nested_json_is_a_parse_error():
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    with pytest.raises(GroupSpecParseError, match="not valid JSON"):
+        parse_group_spec("[" * 100_000)
+
+
+def test_spec_file_budget_is_exact(tmp_path):
+    # a valid spec padded with spaces to exactly the budget parses; one byte
+    # more is refused
+    path = tmp_path / "spec.json"
+    path.write_bytes(S3_DOC.encode().ljust(groupspec.MAX_SPEC_BYTES))
+    assert groupspec.load_group_spec(path) == parse_group_spec(S3_DOC)
+    path.write_bytes(S3_DOC.encode().ljust(groupspec.MAX_SPEC_BYTES + 1))
+    with pytest.raises(GroupSpecParseError, match=f"larger than {groupspec.MAX_SPEC_BYTES}"):
+        groupspec.load_group_spec(path)
+
+
+def test_spec_reads_are_bounded(monkeypatch):
+    # an endless input such as /dev/zero: the reader refuses an unbounded read
+    class Endless:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def read(self, size=-1):
+            if size is None or size < 0:
+                raise AssertionError("unbounded read of a spec file")
+            return b"0" * size
+
+    monkeypatch.setattr(groupspec, "open", lambda *args, **kwargs: Endless(), raising=False)
+    with pytest.raises(GroupSpecParseError, match="larger than"):
+        groupspec.load_group_spec("endless.json")
+
+
 # letters, digits, JSON escapes and non-ASCII text
 NAMES = st.text('aZ09 _-()"\\/\n\té×ΣЖ', min_size=1, max_size=12)
 
