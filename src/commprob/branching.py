@@ -42,18 +42,22 @@ class TypeRegistry:
     anything but the stored centralizers.  This is the one mutable container
     in the package: registrations must be serialized by the caller.
 
-    Types are bucketed by centralizer order and `fingerprint` (the multiset
-    of G-class ids of its members, which conjugation keeps), and a lookup
-    runs `subgroup_conjugate`'s transporter search only on the types of the
-    subgroup's own bucket, in id order.  Registered types are pairwise
-    non-conjugate, so at most one type matches a subgroup, and the search
-    order cannot change the type id a lookup returns.
+    A lookup first reads the member tuple of the subgroup in a dict of
+    every centralizer registered or matched so far, so a member set seen
+    before costs no fingerprint and no search.  Otherwise types are
+    bucketed by centralizer order and `fingerprint` (the multiset of
+    G-class ids of its members, which conjugation keeps), and the lookup
+    runs `subgroup_conjugate`'s transporter search only on the types of
+    the subgroup's own bucket, in id order.  Registered types are pairwise
+    non-conjugate, so at most one type matches a subgroup, and neither the
+    dict nor the search order can change the type id a lookup returns.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.types: list[TypeEntry] = []
         self._buckets: dict[tuple, list[int]] = {}  # (order, fingerprint) -> type ids
+        self._seen: dict[tuple[int, ...], int] = {}  # member tuple -> type id
         self._register(Subgroup.whole(group), (0,))
 
     def __len__(self) -> int:
@@ -65,8 +69,12 @@ class TypeRegistry:
         return self.types[type_id]
 
     def lookup(self, subgroup: Subgroup) -> int | None:
+        tid = self._seen.get(subgroup.members)
+        if tid is not None:
+            return tid
         for tid in self._buckets.get((subgroup.order, subgroup.fingerprint), ()):
             if subgroup_conjugate(self.group, self.types[tid].centralizer, subgroup) is not None:
+                self._seen[subgroup.members] = tid
                 return tid
         return None
 
@@ -74,6 +82,7 @@ class TypeRegistry:
         tid = len(self.types)
         self.types.append(TypeEntry(representative, subgroup, len(representative)))
         self._buckets.setdefault((subgroup.order, subgroup.fingerprint), []).append(tid)
+        self._seen[subgroup.members] = tid
         return tid
 
     def lookup_or_register(self, subgroup: Subgroup, representative: tuple[int, ...]) -> tuple[int, bool]:

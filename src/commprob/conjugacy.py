@@ -12,7 +12,8 @@ Handbook of Computational Group Theory, section 4.1):
 
 - A conjugacy class of H is the orbit of its least member under
   conjugation by H's generators, found by one breadth-first search, so all
-  classes together cost |H| conjugations per generator.
+  classes together cost |H| conjugations per generator.  An abelian H
+  (generators commuting pairwise) has singleton classes and walks none.
 - The centralizer of a tuple is a chain of stabilizers, one per tuple
   element x: a breadth-first search over the orbit of x under the current
   subgroup K records, for each orbit point y, a transversal element u_y
@@ -39,19 +40,24 @@ Handbook of Computational Group Theory, section 4.1):
   in B for each generator a of A, since g A g^-1 is then a subgroup of B
   of the same order.  The type registry of `branching` searches the whole
   group this way, but only against the types whose centralizers share the
-  subgroup's order and fingerprint.  Candidates are tried in the same
-  order as always, so the first witness is the same as when every member
-  of A is tested.
+  subgroup's order and fingerprint.  The whole-group sweep walks the
+  closure's search tree in index order: the image of A's first generator
+  a under g = s * p is s (p a p^-1) s^-1, 4 list reads from the image
+  under p, and the other generators are conjugated by g (2 * |word(g)| + 2
+  reads each) only when that image lies in B.  Candidates are tried in the
+  same order as always, so the first witness is the same as when every
+  member of A is tested.
 
 Every conjugation goes through `FiniteGroup.conj`, which costs
 2 * |word(s)| + 2 list reads for a conjugator s and no product.  A
 whole-group generator is a one-letter seed, so the whole group's classes
-cost 4 reads per member and generator; a subgroup's generators and the
-transporter's candidates pay for their words.  The only products left in
-the orbit searches are the stabilizer's transversal elements, and its
-Schreier generators and closure (`groups.close_subgroup`), which stop as
-soon as it holds |K| / |orbit| elements, and with them the search when the
-orbit length is known.
+cost 4 reads per member and generator; a subgroup's generators pay for
+their words, and a transporter candidate costs 4 reads, plus its word for
+each further generator when its first image lands in B.  The only
+products left in the orbit searches are the stabilizer's transversal
+elements, and its Schreier generators and closure
+(`groups.close_subgroup`), which stop as soon as it holds |K| / |orbit|
+elements, and with them the search when the orbit length is known.
 """
 
 from __future__ import annotations
@@ -168,11 +174,16 @@ def conjugacy_classes(group: FiniteGroup, within: Subgroup | None = None) -> Cla
     With `within` given, the subgroup acts on itself; class members are
     still parent-group indices.  Members are visited in increasing order,
     and each one not yet placed starts the orbit search of its class, which
-    fills `class_of` as it goes.  The partition is computed once per
-    subgroup and cached on it.
+    fills `class_of` as it goes.  When H's generators commute pairwise
+    (`Subgroup.is_abelian`), every class is a singleton and no orbit is
+    walked.  The partition is computed once per subgroup and cached on it.
     """
     h = subgroup_or_whole(group, within)
     if h._classes is not None:
+        return h._classes
+    if h.is_abelian:
+        classes = tuple(ConjugacyClass(x, (x,)) for x in h.members)
+        h._classes = ClassPartition(classes, {x: i for i, x in enumerate(h.members)})
         return h._classes
     conj, gens = group.conj, h.generators
     class_of: dict[int, int] = {}
@@ -204,12 +215,22 @@ def subgroup_conjugate(
     Exhaustive search over the whole group (or the given candidates in it),
     run only when the orders and the G-class multisets (`fingerprint`)
     agree.  A candidate is tested on A's generators only, in order, and
-    dropped at the first one it maps outside B.
+    dropped at the first one it maps outside B.  The whole-group sweep
+    takes the image of A's first generator from `FiniteGroup.conjugates`,
+    in index order, and conjugates the others only by a candidate whose
+    first image lies in B: the same candidates in the same order, so the
+    same first witness.
     """
     if a.order != b.order or a.fingerprint != b.fingerprint:
         return None
-    candidates = transporter if transporter is not None else range(group.order)
     conj, target, gens = group.conj, b.member_set, a.generators
+    if transporter is None and gens:
+        first, rest = gens[0], gens[1:]
+        for g, y in enumerate(group.conjugates(first)):
+            if y in target and all(conj(g, x) in target for x in rest):
+                return g
+        return None
+    candidates = transporter if transporter is not None else range(group.order)
     for g in candidates:
         for x in gens:
             if conj(g, x) not in target:

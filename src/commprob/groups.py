@@ -29,23 +29,28 @@ carrier product; field operations are made only for the letter images and
 to invert the generators.  A group keeps the keys; data is made from a key
 only where an element leaves the group (`FiniteGroup.element`).
 
-The closure records, for each seed s, its left action on the element
-indices: act_s[x] = index(s * e_x).  The group replays every product from
-those lists alone.  A breadth-first search from the identity gives each
-element e_i a word over the actions: when e_i is first reached as s * e_p,
-its word is the word of e_p followed by act_s, and since index(e_i * e_j) =
-index(s * (e_p * e_j)), the product index(e_i * e_j) is j pushed through
-the word, one list lookup per letter.  Words are kept shallow (Seress,
-Permutation Group Algorithms, section 4.4): once the search would pass a
-depth of max(8, 2 * bit_length(|G|)), the element at that depth becomes a
-new letter (with its inverse), its action composed from its word, and the
-search starts again.  Words and inverses are built with the group, so no
-product after the closure costs a carrier product or a field operation.
+The closure is one breadth-first search from the identity, and it records
+two things.  For each seed s, its left action on the element indices:
+act_s[x] = index(s * e_x); the group replays every product from those
+lists alone.  And the search tree (Seress, Permutation Group Algorithms,
+section 4.4): each element e_x but the identity is first reached as
+s * e_p, so its parent p (always below x) and its seed's action.  The
+group reads its words from that tree: the word of e_x is the word of e_p
+followed by act_s, and since index(e_x * e_j) = index(s * (e_p * e_j)),
+the product index(e_x * e_j) is j pushed through the word, one list
+lookup per letter.  Words are kept shallow: if the tree is deeper than
+max(8, 2 * bit_length(|G|)), the element at that depth with a child
+becomes a new letter (with its inverse), its action composed from its
+word, and a search over the letters starts again, as often as needed.
+Words and inverses are built with the group, so no product after the
+closure costs a carrier product or a field operation.
 A conjugation uses g * x * g^-1 = g * (g * x^-1)^-1 (`FiniteGroup.conj`):
 it replays only the conjugator's word, twice, around two reads of the
 inverse table, 2 * |word(g)| + 2 list reads in all, or 4 when g is a seed.
 `FiniteGroup.conjugation_table(g)` conjugates every element by g at once,
-composing those same steps as whole lists.
+composing those same steps as whole lists, and `FiniteGroup.conjugates(a)`
+conjugates a by every element in index order, each image from its tree
+parent's by one seed: 4 list reads per element.
 
 Every subgroup carries a generating set, and the scans over a subgroup
 (commutation, conjugation, closure) run over its generators rather than
@@ -303,12 +308,15 @@ class FiniteGroup:
 
     Index 0 is always the identity.  Built by `group_generate`, which hands
     over its closure keys as `elements`, the index keyed by them, the
-    indices of the generators (`generators`, identity left out) and the
-    seeds' recorded left actions.  The product words and the inverse table
-    are built here, so multiplication replays a word and inversion reads a
-    table.  Elements cross the boundary as `GroupElement` data through
-    `element`, `element_index` and `encode`.  Instances are immutable apart
-    from the lazily cached whole-group subgroup, matrix and oracle data.
+    indices of the generators (`generators`, identity left out), the
+    seeds' recorded left actions and the closure's search tree (`tree`:
+    (x, p, act_s) for each element x but the identity, in index order,
+    x first reached as act_s[p], so p < x).  The product words and the
+    inverse table are built here from that tree, so multiplication replays
+    a word and inversion reads a table.  Elements cross the boundary as
+    `GroupElement` data through `element`, `element_index` and `encode`.
+    Instances are immutable apart from the lazily cached whole-group
+    subgroup, matrix and oracle data.
     """
 
     def __init__(
@@ -317,6 +325,7 @@ class FiniteGroup:
         elements: list[bytes | tuple[int, ...]],
         index: dict[bytes | tuple[int, ...], int],
         actions: list[list[int]],
+        tree: list[tuple[int, int, list[int]]],
         generators: tuple[int, ...],
         name: str = "",
     ):
@@ -324,9 +333,10 @@ class FiniteGroup:
         self.elements = elements
         self.index = index
         self._actions = actions
+        self._tree = tree
         self.generators = generators
         self.name = name
-        self._words, self._inv_table = _product_words(len(elements), actions)
+        self._words, self._inv_table = _product_words(actions, tree)
         self._whole = None
         self._branching = None
         self._centralizer_dag = None
@@ -380,6 +390,18 @@ class FiniteGroup:
                 table = list(map(act.__getitem__, table))
         return table
 
+    def conjugates(self, a: int):
+        """conj(g, a) for g = 0, 1, .. in index order, each from its tree
+        parent's: for g = s * p, conj(g, a) = conj(s, conj(p, a)), 4 list
+        reads through s's action and the inverse table.  A generator, so a
+        caller that stops early pays only for the elements it saw."""
+        inv, images = self._inv_table, [a]
+        yield a
+        for _, p, act in self._tree:
+            y = act[inv[act[inv[images[p]]]]]
+            images.append(y)
+            yield y
+
     def commute(self, i: int, j: int) -> bool:
         return self.mul(i, j) == self.mul(j, i)
 
@@ -417,33 +439,42 @@ def _inverse_permutation(perm) -> list[int]:
     return out
 
 
-def _product_words(n: int, actions: list[list[int]]):
-    """The product words and the inverse table of a group of order n.
+def _product_words(actions: list[list[int]], tree):
+    """The product words and the inverse table of a group, from the
+    closure's search tree.
 
-    The letters start as the recorded left actions.  Whenever the
-    breadth-first search would pass the depth bound, the action of an
-    element at that depth, composed from its word in n lookups per letter,
-    joins the letters with its inverse, so the letters stay closed under
-    inverses like the seeds, and the search restarts.  Each restart puts an
-    element that needed a longer word within reach, so the loop ends.
+    The words are read off the tree in index order, each its parent's word
+    plus one letter.  Only when the tree is deeper than the bound do the
+    letters grow: the action of the first element at the bound with a
+    child, composed from its word in n lookups per letter, joins the seeds'
+    actions with its inverse, so the letters stay closed under inverses
+    like the seeds, and `_shallow_words` searches again.  Each restart
+    puts an element that needed a longer word within reach, so the loop
+    ends.
 
-    The inverses come from the search tree, each element x reached as
+    The inverses come from the final tree, each element x reached as
     A * p from its parent p by its last letter A.  Right multiplication by
-    a letter's inverse a^-1 is tabulated in the search order: R[0] is the
+    a letter's inverse a^-1 is tabulated in the tree order: R[0] is the
     index of a^-1 (the y with A[y] = 0) and R[x] = A_x[R[p]], as
     x * a^-1 = A_x * (p * a^-1).  Then x^-1 = p^-1 * A_x^-1 is the table
     of A_x read at p^-1, one lookup per element and letter in all.
     """
+    n = len(tree) + 1
     letters = list(actions)
     bound = max(8, 2 * n.bit_length())
-    while True:
-        words, tree, deep = _shallow_words(n, letters, bound)
-        if deep is None:
+    words, deep = [()], None
+    for _, p, act in tree:
+        word = words[p]
+        if len(word) == bound:
+            deep = word
             break
+        words.append(word + (act,))
+    while deep is not None:
         action = range(n)
         for act in deep:
             action = list(map(act.__getitem__, action))
         letters += (action, _inverse_permutation(action))
+        words, tree, deep = _shallow_words(n, letters, bound)
     times_inverse = {}
     for act in letters:
         table = [0] * n
@@ -458,7 +489,8 @@ def _product_words(n: int, actions: list[list[int]]):
 
 
 def _shallow_words(n: int, letters: list[list[int]], bound: int):
-    """Breadth-first words from the identity over the letters.
+    """Breadth-first words from the identity over the letters, for the
+    restarts of `_product_words`.
 
     Returns (words, tree, None) when every element is reached within
     `bound` letters, tree listing (x, p, A) in the search order for each
@@ -568,9 +600,10 @@ class Subgroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        """Whether the generators commute pairwise."""
-        commute, gs = self.group.commute, self.generators
-        return all(commute(a, b) for ai, a in enumerate(gs) for b in gs[ai + 1 :])
+        """Whether the generators commute pairwise, tested by conjugation
+        (a * b * a^-1 = b), which makes no product."""
+        conj, gs = self.group.conj, self.generators
+        return all(conj(a, b) == b for ai, a in enumerate(gs) for b in gs[ai + 1 :])
 
     @cached_property
     def fingerprint(self) -> tuple[tuple[int, int], ...]:
@@ -610,8 +643,9 @@ def group_generate(gens: list[GroupElement], cap: int = CLOSURE_CAP, name: str =
     order produced by left-multiplying queue elements by the generators and
     their inverses (the seeds), so the element indexing is deterministic for
     a fixed generator list.  Every product s * e_x made here is kept:
-    act_s[x] = index(s * e_x) is recorded for each seed s, from which
-    `FiniteGroup` builds its product words.
+    act_s[x] = index(s * e_x) is recorded for each seed s, and each new
+    element's parent and seed form the search tree, from which
+    `FiniteGroup` reads its product words and inverses.
 
     The search runs over closure keys, bytes or tuples as `_seed_actions`
     decides, each seed acting through its recorded letter images.  The
@@ -642,20 +676,22 @@ def group_generate(gens: list[GroupElement], cap: int = CLOSURE_CAP, name: str =
     elements = [start]
     index = {start: 0}
     actions = [[] for _ in seeds]
-    for x in elements:  # also visits the elements appended below: breadth-first
+    tree = []
+    for p, x in enumerate(elements):  # also visits the elements appended below: breadth-first
         for step, act in zip(steps, actions):
             y = step(x)
             i = index.get(y)
             if i is None:
                 i = index[y] = len(elements)
                 elements.append(y)
+                tree.append((i, p, act))
                 if i >= cap:
                     raise CapExceededError(f"closure exceeded cap of {cap} elements")
             act.append(i)
     del steps  # free the letter images or tables before the group builds its words
     # act_s[0] = index(s), and distinct generator data have distinct indices
     generators = tuple(i for i in (act[0] for act in actions[:distinct]) if i != 0)
-    return FiniteGroup(carrier, elements, index, actions, generators, name=name)
+    return FiniteGroup(carrier, elements, index, actions, tree, generators, name=name)
 
 
 def subgroup_or_whole(group: FiniteGroup, within: Subgroup | None) -> Subgroup:

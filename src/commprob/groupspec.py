@@ -25,6 +25,8 @@ matrix generator once; `generator_elements` wraps the validated data, so
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
@@ -152,12 +154,26 @@ def build_group(spec: GroupSpec, cap: int = CLOSURE_CAP) -> FiniteGroup:
     return group_generate(spec.generator_elements(), cap=cap, name=spec.name)
 
 
-def load_group_spec(path) -> GroupSpec:
-    """Read and parse a spec file of at most MAX_SPEC_BYTES bytes.  One byte
-    past the budget is read and no more, so an endless input such as
-    /dev/zero is refused rather than read until memory runs out."""
+def _regular_file_opener(path, flags: int) -> int:
+    """Open without blocking and refuse anything but a regular file, so a
+    FIFO with no writer, a device such as /dev/zero or a directory is
+    refused at once rather than waited on or read without end."""
+    fd = os.open(path, flags | os.O_NONBLOCK)
     try:
-        with open(path, "rb") as handle:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise GroupSpecParseError(f"cannot read {path}: not a regular file")
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def load_group_spec(path) -> GroupSpec:
+    """Read and parse a spec file of at most MAX_SPEC_BYTES bytes.  Only a
+    regular file is opened, and one byte past the budget is read and no
+    more, so no input is read until memory runs out."""
+    try:
+        with open(path, "rb", opener=_regular_file_opener) as handle:
             data = handle.read(MAX_SPEC_BYTES + 1)
         if len(data) > MAX_SPEC_BYTES:
             raise GroupSpecParseError(f"{path} is larger than {MAX_SPEC_BYTES} bytes")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -554,3 +555,26 @@ def test_symbolic_with_a_failing_structure_check_exits_1(capsys, monkeypatch):
     assert "structure,fail" in lines
     assert lines[-1] == "10,20,1/2,3/5,7/20,3/5"  # as for the real gl2
     assert "symbolic checks failed" in err.splitlines()
+
+
+def test_fifo_spec_exits_2_without_waiting_for_a_writer(tmp_path, capsys):
+    # opening a FIFO that has no writer blocks; the spec reader refuses
+    # anything but a regular file before it could block.  The alarm turns a
+    # hang into a failure.
+    fifo = tmp_path / "spec.json"
+    os.mkfifo(fifo)
+
+    def hang(signum, frame):
+        raise TimeoutError("blocked opening a FIFO with no writer")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        code, out, err = invoke(capsys, "classes", str(fifo))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "not a regular file" in errors[0]
+    assert "Traceback" not in err

@@ -22,7 +22,7 @@ from commprob.groups import (
     matrix_element,
     permutation_element,
 )
-from commprob.groupspec import corpus_group, corpus_spec
+from commprob.groupspec import CORPUS_NAMES, corpus_group, corpus_spec
 
 from conftest import gl2, recording, sl2, subgroup_closure, symmetric_group
 
@@ -358,6 +358,27 @@ def test_subgroup_conjugate_matches_all_members_scan(corpus, name):
                 assert got == expected
 
 
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, "s5"])
+def test_default_sweep_matches_the_index_order_scan(corpus, name):
+    # the sweep over the closure tree tries the candidates of
+    # range(|G|) in the same order, so it finds the same first witness;
+    # the trivial subgroup has no generators and takes the scan
+    group = group_generate(symmetric_group(5)) if name == "s5" else corpus[name]
+    _, registry = branching_matrix(group)
+    cents = [entry.centralizer for entry in registry.types] + [Subgroup(group, [0])]
+    cents += [
+        Subgroup(group, [group.conj(g, x) for x in c.members])
+        for c in cents
+        for g in (1, 2, group.order - 1)
+    ]
+    whole = range(group.order)
+    for a in cents:
+        for b in cents:
+            assert subgroup_conjugate(group, a, b) == subgroup_conjugate(
+                group, a, b, transporter=whole
+            )
+
+
 def reference_z_grouping(group, h):
     """z-classes as (class ids, centralizer, representative): one centralizer
     per class, each placed with the first earlier z-class whose centralizer
@@ -564,3 +585,31 @@ def test_subgroups_of_another_group_are_refused(corpus):
                 call()
             assert repr(foreign) in str(info.value) and repr(group) in str(info.value)
         assert foreign._classes is None
+
+
+def test_abelian_partitions_walk_no_orbit(type_centralizers, monkeypatch):
+    # singleton classes in member order, with no conjugation once the
+    # abelian flag is known; the flag itself is tested by conjugation
+    calls = []
+    conj = FiniteGroup.conj
+
+    def counted(group, g, x):
+        calls.append(1)
+        return conj(group, g, x)
+
+    monkeypatch.setattr(FiniteGroup, "conj", counted)
+    abelian = 0
+    for group, h in type_centralizers:
+        fresh = Subgroup(group, h.members, h.generators)
+        if not fresh.is_abelian:
+            continue
+        abelian += 1
+        calls.clear()
+        partition = conjugacy_classes(group, within=fresh)
+        assert calls == []
+        assert [(c.representative, c.members) for c in partition.classes] == [
+            (x, (x,)) for x in h.members
+        ]
+        assert partition.class_of == {x: i for i, x in enumerate(h.members)}
+        assert partition == conjugacy_classes(group, within=h)
+    assert abelian > 20

@@ -668,3 +668,53 @@ def test_tuple_keys_give_the_byte_key_group(monkeypatch, name):
         el = tuple_keyed.element(i)
         assert el == byte_keyed.element(i)
         assert tuple_keyed.element_index(el) == byte_keyed.element_index(el) == i
+
+
+def reference_words(group):
+    """Product words and inverse table by the breadth-first search over the
+    seeds' actions that `group_generate`'s tree replaces, with the same
+    restarts: the words must not depend on which search read them."""
+    n, letters = group.order, list(group._actions)
+    bound = word_bound(group)
+    while True:
+        words, tree, deep = groups_module._shallow_words(n, letters, bound)
+        if deep is None:
+            break
+        action = range(n)
+        for act in deep:
+            action = list(map(act.__getitem__, action))
+        letters += (action, groups_module._inverse_permutation(action))
+    inverse = [next(j for j in range(n) if group.mul(i, j) == 0) for i in range(n)]
+    return words, inverse, len(letters)
+
+
+def cycle_group(n):
+    """The cyclic group of order n from one n-cycle and its inverse."""
+    return group_generate([permutation_element([*range(1, n), 0])])
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, "cycle64"])
+def test_words_and_inverses_match_the_shallow_words_reference(name):
+    # a 64-cycle needs words of 32 letters over its two seeds, deeper than
+    # the bound of 14, so its words come from the restarts
+    group = cycle_group(64) if name == "cycle64" else corpus_group(name)
+    words, inverse, letters = reference_words(group)
+    assert group._words == words
+    assert group._inv_table == inverse
+    assert (letters > len(group._actions)) == (name == "cycle64")
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, "cycle64"])
+def test_closure_tree_parents_precede_their_children(name):
+    group = cycle_group(64) if name == "cycle64" else corpus_group(name)
+    assert [x for x, _, _ in group._tree] == list(range(1, group.order))
+    for x, p, act in group._tree:
+        assert p < x and act[p] == x
+        assert any(act is seed for seed in group._actions)
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, "cycle64"])
+def test_conjugates_follow_the_index_order(name):
+    group = cycle_group(64) if name == "cycle64" else corpus_group(name)
+    for a in range(min(group.order, 12)):
+        assert list(group.conjugates(a)) == [group.conj(g, a) for g in range(group.order)]

@@ -318,7 +318,8 @@ def test_spec_file_budget_is_exact(tmp_path):
 
 
 def test_spec_reads_are_bounded(monkeypatch):
-    # an endless input such as /dev/zero: the reader refuses an unbounded read
+    # an endless input, such as a regular file that is still being written:
+    # the reader refuses an unbounded read
     class Endless:
         def __enter__(self):
             return self
