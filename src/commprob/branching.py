@@ -40,11 +40,13 @@ class TypeRegistry:
     Type 0 is always the type of the identity tuple, i.e. the group itself.
     Registration order is the canonical id order; lookups never depend on
     anything but the stored centralizers.  This is the one mutable container
-    in the package: registrations must be serialized by the caller.
+    in the package: registrations and lookups must be serialized by the
+    caller, since a lookup that finds its type also writes to the registry.
 
     A lookup first reads the member tuple of the subgroup in a dict of
     every centralizer registered or matched so far, so a member set seen
-    before costs no fingerprint and no search.  Otherwise types are
+    before costs no fingerprint and no search; a lookup that matches by
+    search records its subgroup's member tuple there.  Otherwise types are
     bucketed by centralizer order and `fingerprint` (the multiset of
     G-class ids of its members, which conjugation keeps), and the lookup
     runs `subgroup_conjugate`'s transporter search only on the types of

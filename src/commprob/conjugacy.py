@@ -46,7 +46,8 @@ Handbook of Computational Group Theory, section 4.1):
   under p, and the other generators are conjugated by g (2 * |word(g)| + 2
   reads each) only when that image lies in B.  Candidates are tried in the
   same order as always, so the first witness is the same as when every
-  member of A is tested.
+  member of A is tested.  A trivial A needs no sweep: the identity, the
+  first candidate, maps it onto B.
 
 Every conjugation goes through `FiniteGroup.conj`, which costs
 2 * |word(s)| + 2 list reads for a conjugator s and no product.  A
@@ -224,14 +225,15 @@ def subgroup_conjugate(
     if a.order != b.order or a.fingerprint != b.fingerprint:
         return None
     conj, target, gens = group.conj, b.member_set, a.generators
-    if transporter is None and gens:
+    if transporter is None:
+        if not gens:  # A and B are trivial: the identity maps one onto the other
+            return 0
         first, rest = gens[0], gens[1:]
         for g, y in enumerate(group.conjugates(first)):
             if y in target and all(conj(g, x) in target for x in rest):
                 return g
         return None
-    candidates = transporter if transporter is not None else range(group.order)
-    for g in candidates:
+    for g in transporter:
         for x in gens:
             if conj(g, x) not in target:
                 break

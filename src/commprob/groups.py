@@ -310,8 +310,8 @@ class FiniteGroup:
     over its closure keys as `elements`, the index keyed by them, the
     indices of the generators (`generators`, identity left out), the
     seeds' recorded left actions and the closure's search tree (`tree`:
-    (x, p, act_s) for each element x but the identity, in index order,
-    x first reached as act_s[p], so p < x).  The product words and the
+    (p, act_s) for each element x = 1, 2, .. but the identity, in index
+    order, x first reached as act_s[p], so p < x).  The product words and the
     inverse table are built here from that tree, so multiplication replays
     a word and inversion reads a table.  Elements cross the boundary as
     `GroupElement` data through `element`, `element_index` and `encode`.
@@ -325,7 +325,7 @@ class FiniteGroup:
         elements: list[bytes | tuple[int, ...]],
         index: dict[bytes | tuple[int, ...], int],
         actions: list[list[int]],
-        tree: list[tuple[int, int, list[int]]],
+        tree: list[tuple[int, list[int]]],
         generators: tuple[int, ...],
         name: str = "",
     ):
@@ -397,7 +397,7 @@ class FiniteGroup:
         caller that stops early pays only for the elements it saw."""
         inv, images = self._inv_table, [a]
         yield a
-        for _, p, act in self._tree:
+        for p, act in self._tree:
             y = act[inv[act[inv[images[p]]]]]
             images.append(y)
             yield y
@@ -462,8 +462,8 @@ def _product_words(actions: list[list[int]], tree):
     n = len(tree) + 1
     letters = list(actions)
     bound = max(8, 2 * n.bit_length())
-    words, deep = [()], None
-    for _, p, act in tree:
+    words, order, deep = [()], range(1, n), None
+    for p, act in tree:
         word = words[p]
         if len(word) == bound:
             deep = word
@@ -474,16 +474,16 @@ def _product_words(actions: list[list[int]], tree):
         for act in deep:
             action = list(map(act.__getitem__, action))
         letters += (action, _inverse_permutation(action))
-        words, tree, deep = _shallow_words(n, letters, bound)
+        words, order, tree, deep = _shallow_words(n, letters, bound)
     times_inverse = {}
     for act in letters:
         table = [0] * n
         table[0] = act.index(0)
-        for x, p, last in tree:
+        for x, (p, last) in zip(order, tree):
             table[x] = last[table[p]]
         times_inverse[id(act)] = table
     inv_table = [0] * n
-    for x, p, last in tree:
+    for x, (p, last) in zip(order, tree):
         inv_table[x] = times_inverse[id(last)][inv_table[p]]
     return words, inv_table
 
@@ -492,11 +492,11 @@ def _shallow_words(n: int, letters: list[list[int]], bound: int):
     """Breadth-first words from the identity over the letters, for the
     restarts of `_product_words`.
 
-    Returns (words, tree, None) when every element is reached within
-    `bound` letters, tree listing (x, p, A) in the search order for each
-    element x but the identity, first reached as A[p].  Else returns
-    (None, None, word) for the first element of depth `bound` that reaches
-    an element not yet seen.
+    Returns (words, order, tree, None) when every element is reached
+    within `bound` letters: order lists the elements but the identity in
+    the search order, and tree (p, A) for each of them, first reached as
+    A[p].  Else returns (None, None, None, word) for the first element of
+    depth `bound` that reaches an element not yet seen.
     """
     words: list = [None] * n
     words[0] = ()
@@ -508,11 +508,11 @@ def _shallow_words(n: int, letters: list[list[int]], bound: int):
             i = act[p]
             if words[i] is None:
                 if len(word) == bound:
-                    return None, None, word
+                    return None, None, None, word
                 words[i] = word + (act,)
                 queue.append(i)
-                tree.append((i, p, act))
-    return words, tree, None
+                tree.append((p, act))
+    return words, queue[1:], tree, None
 
 
 def close_subgroup(mul, candidates, order: int) -> tuple[list[int], list[int]]:
@@ -684,7 +684,7 @@ def group_generate(gens: list[GroupElement], cap: int = CLOSURE_CAP, name: str =
             if i is None:
                 i = index[y] = len(elements)
                 elements.append(y)
-                tree.append((i, p, act))
+                tree.append((p, act))
                 if i >= cap:
                     raise CapExceededError(f"closure exceeded cap of {cap} elements")
             act.append(i)

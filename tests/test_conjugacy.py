@@ -362,7 +362,7 @@ def test_subgroup_conjugate_matches_all_members_scan(corpus, name):
 def test_default_sweep_matches_the_index_order_scan(corpus, name):
     # the sweep over the closure tree tries the candidates of
     # range(|G|) in the same order, so it finds the same first witness;
-    # the trivial subgroup has no generators and takes the scan
+    # the trivial subgroup has no generators and is answered by the identity
     group = group_generate(symmetric_group(5)) if name == "s5" else corpus[name]
     _, registry = branching_matrix(group)
     cents = [entry.centralizer for entry in registry.types] + [Subgroup(group, [0])]
