@@ -17,15 +17,15 @@ topological order, and refuses a grid with any other cycle.
 walks only to max(24, beta - 1) and reads the rest.
 
 One exact kernel, `exact_walk` and `exact_power`, multiplies matrices over
-any entries with `+` and `*`: ints for the finite branching matrices and
-PsiPoly (`psi_walk`, `psi_power`) for the independent check of every
-exactness claim here.  `first_column_degree` and `degree_windows` compare
-every degree they report for d <= 24 with the exact polynomial walk and
-raise on a disagreement.  The tier-1 tests compare
-`diagonal_degree_interval` with the exact symbolised power on every case
-of their random suites, the max-plus and exact walks from every start
-column with exact powers, and the envelope with the walk for every
-d >= beta.
+ints for the finite branching matrices and over PsiPoly (`psi_walk`,
+`psi_power`) for the independent check of every exactness claim here; each
+PsiPoly entry adds its terms into one dict (`PsiPoly.total`).
+`first_column_degree` and `degree_windows` compare every degree they
+report for d <= 24 with the exact polynomial walk and raise on a
+disagreement.  The tier-1 tests compare `diagonal_degree_interval` with
+the exact symbolised power on every case of their random suites, the
+max-plus and exact walks from every start column with exact powers, and
+the envelope with the walk for every d >= beta.
 
 `diagonal_degree_interval` reads deg (B^r)[l][0] in a symbolised diagonal
 entry as r minus the fewest steps from row 0 to row l.  It checks the
@@ -72,9 +72,9 @@ class PsiPoly:
     def _trusted(cls, coeffs: dict[int, int]) -> "PsiPoly":
         """Wrap a dict of int exponents to positive int coefficients as is.
 
-        Only sums and products of PsiPolys come here: adding or multiplying
-        positive coefficients gives positive ones, so `__init__`'s checks
-        would find nothing to drop or refuse."""
+        Only sums and products of PsiPolys, whose positive coefficients give
+        positive ones, and the monomials of a checked exponent grid come
+        here, so `__init__`'s checks would find nothing to drop or refuse."""
         poly = object.__new__(cls)
         poly.coeffs = coeffs
         return poly
@@ -100,6 +100,23 @@ class PsiPoly:
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.coeffs.items())))
+
+    @classmethod
+    def total(cls, terms) -> "PsiPoly":
+        """The sum of an iterable of PsiPolys, zero if it is empty.
+
+        The first term's dict is copied once and every later term is added
+        into that copy, where `sum(terms, zero)` would copy the running
+        sum's dict once per term; no term is changed."""
+        terms = iter(terms)
+        first = next(terms, None)
+        if first is None:
+            return cls._trusted({})
+        out = dict(first.coeffs)
+        for term in terms:
+            for deg, c in term.coeffs.items():
+                out[deg] = out.get(deg, 0) + c
+        return cls._trusted(out)
 
     def __add__(self, other: "PsiPoly") -> "PsiPoly":
         out = dict(self.coeffs)
@@ -168,8 +185,13 @@ class PsiMatrix:
 
     @property
     def entries(self) -> tuple[tuple[PsiPoly, ...], ...]:
-        """The entries as PsiPoly monomials, built afresh for the exact checks."""
-        return tuple(tuple(_monomial(e) for e in row) for row in self.grid)
+        """The entries as PsiPoly monomials, built afresh for the exact checks.
+
+        `psi_matrix_from_exponents` has checked every exponent to be an int
+        >= -1, so each monomial is wrapped as is, with no `PsiPoly` check."""
+        return tuple(
+            tuple(PsiPoly._trusted({e: 1} if e >= 0 else {}) for e in row) for row in self.grid
+        )
 
     def exponent_grid(self) -> list[list[int]]:
         """A fresh copy of the grid, -1 standing for zero entries."""
@@ -299,29 +321,41 @@ def fixture_names() -> list[str]:
 EXACT_CHECK_DMAX = 24
 
 
+def _summer(zero):
+    """How the exact kernel adds the terms of one entry: `PsiPoly.total`,
+    into one dict, for PsiPoly entries, and the builtin `sum` for numbers."""
+    return PsiPoly.total if isinstance(zero, PsiPoly) else sum
+
+
 def exact_walk(matrix, start: int, steps: int, zero, one):
     """Yield the columns B^t e_start for t = 1..steps, exactly.
 
-    B is a square matrix over entries with `+` and `*`, zero and one given,
-    in which exactly the zero entries are false.  Zero entries of B and of
-    the current column are skipped; only the current column is held.
+    B is a square matrix over numbers or PsiPolys, zero and one given, in
+    which exactly the zero entries are false.  Zero entries of B and of
+    the current column are skipped; only the current column is held.  The
+    terms of an entry are products by `*`; a PsiPoly entry sums them with
+    `PsiPoly.total`, into one dict, and a number entry with `sum`.
     """
+    total = _summer(zero)
     edges = [[(k, x) for k, x in enumerate(row) if x] for row in matrix]
     v = [zero] * len(matrix)
     v[start] = one
     for _ in range(steps):
-        v = [sum((v[k] * x for k, x in row if v[k]), zero) for row in edges]
+        v = [total(v[k] * x for k, x in row if v[k]) for row in edges]
         yield v
 
 
 def exact_power(matrix, d: int, zero, one):
-    """B^d (d >= 0) by repeated squaring, over entries as for `exact_walk`."""
+    """B^d (d >= 0) by repeated squaring, over entries as for `exact_walk`
+    and summed the same way: `PsiPoly.total` per PsiPoly entry, `sum` per
+    number entry."""
     require_int(d, 0)
+    total = _summer(zero)
 
     def times(a, b):
         rows = [[(k, x) for k, x in enumerate(row) if x] for row in a]
         cols = list(zip(*b))
-        return [[sum((x * col[k] for k, x in row if col[k]), zero) for col in cols] for row in rows]
+        return [[total(x * col[k] for k, x in row if col[k]) for col in cols] for row in rows]
 
     n = len(matrix)
     result = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -372,7 +406,7 @@ def _exact_first_column_degree(matrix: PsiMatrix, dmax: int) -> list[int]:
     """The exact twin of tropical_first_column_degrees, by PsiPoly powers."""
     degrees = []
     for v in psi_walk(matrix.entries, 0, dmax):
-        total = sum(v, PsiPoly.zero())
+        total = PsiPoly.total(v)
         degrees.append(int(total.degree) if total else -1)
     return degrees
 

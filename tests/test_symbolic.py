@@ -247,6 +247,28 @@ def test_psi_poly_ring_laws():
             assert (a * b).degree == a.degree + b.degree  # no cancellation
 
 
+def test_psi_poly_total_equals_the_sum_and_changes_no_term():
+    rng = random.Random(38)
+
+    def rand_poly():
+        # about one in five is the zero polynomial
+        return PsiPoly({rng.randrange(8): rng.randrange(1, 9) for _ in range(rng.randrange(5))})
+
+    assert PsiPoly.total([]) == PsiPoly.zero()
+    assert PsiPoly.total(iter([])) == PsiPoly.zero()
+    for count in [0, 1, 1, 2, 3] + [rng.randrange(2, 12) for _ in range(200)]:
+        terms = [rand_poly() for _ in range(count)]
+        if count and rng.random() < 0.2:
+            terms[rng.randrange(count)] = PsiPoly.zero()
+        before = [dict(t.coeffs) for t in terms]
+        total = PsiPoly.total(terms)
+        assert total == sum(terms, PsiPoly.zero())
+        assert total == PsiPoly.total(iter(terms))
+        assert [t.coeffs for t in terms] == before
+        assert all(total.coeffs is not t.coeffs for t in terms)
+        assert all(c > 0 for c in total.coeffs.values())
+
+
 # --- degree calculus --------------------------------------------------------
 
 
@@ -293,6 +315,65 @@ def test_tropical_polynomial_agreement_entrywise():
                 assert trop == exact_degrees(exact), (name, j, d)
                 if d in powers:
                     assert exact == [row[j] for row in powers[d]], (name, j, d)
+
+
+def reference_walk(entries, steps):
+    """B^t e_1 for t = 1..steps, each entry added with `+` one term at a time."""
+    v = [PsiPoly.monomial(0)] + [PsiPoly.zero()] * (len(entries) - 1)
+    for _ in range(steps):
+        column = []
+        for row in entries:
+            entry = PsiPoly.zero()
+            for k, x in enumerate(row):
+                entry = entry + x * v[k]
+            column.append(entry)
+        v = column
+        yield v
+
+
+def reference_power(entries, d):
+    """B^d as d - 1 products B . B^t, each entry added with `+` one term at a time."""
+    size = len(entries)
+    power = entries
+    for _ in range(d - 1):
+        product = []
+        for row in entries:
+            out = []
+            for j in range(size):
+                entry = PsiPoly.zero()
+                for k, x in enumerate(row):
+                    entry = entry + x * power[k][j]
+                out.append(entry)
+            product.append(tuple(out))
+        power = tuple(product)
+    return power
+
+
+@pytest.mark.parametrize("name", ["gl2", "gl3", "gl4"])
+def test_exact_walk_and_power_equal_termwise_addition(name):
+    # whole polynomials, not only their degrees, against entries added
+    # with `+` one term at a time
+    matrix = fixture(name)
+    dmax = EXACT_CHECK_DMAX
+    reference = list(reference_walk(matrix.entries, dmax))
+    for d, (exact, expected) in enumerate(zip(psi_walk(matrix.entries, 0, dmax), reference), 1):
+        assert exact == expected, (name, d)
+    assert symbolic._exact_first_column_degree(matrix, dmax) == [
+        int(sum(column, PsiPoly.zero()).degree) for column in reference
+    ]
+    for d in range(1, 7):
+        assert psi_power(matrix, d) == reference_power(matrix.entries, d), (name, d)
+
+
+def test_entries_are_the_monomials_of_the_grid():
+    for name in ("gl2", "gl3", "gl4"):
+        matrix = fixture(name)
+        expected = tuple(tuple(symbolic._monomial(e) for e in row) for row in matrix.grid)
+        assert matrix.entries == expected
+        assert all(type(p) is PsiPoly for row in matrix.entries for p in row)
+        assert [[bool(p) for p in row] for row in matrix.entries] == [
+            [e >= 0 for e in row] for row in matrix.grid
+        ]
 
 
 def test_cross_check_built_into_first_column_degree(monkeypatch):
